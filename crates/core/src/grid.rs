@@ -1115,6 +1115,7 @@ impl DataGrid {
         let mut resumed_from = Vec::new();
         let mut payload_moved = 0u64;
         let mut backoff_total = SimDuration::ZERO;
+        let mut caps = Vec::new();
         loop {
             let attempt_req = if committed == 0 {
                 req
@@ -1163,7 +1164,9 @@ impl DataGrid {
                     if monitor_tick {
                         let fresh = [self.endpoint_for(src)];
                         let dst_fresh = self.endpoint_for(dst);
-                        session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
+                        caps.clear();
+                        session.refresh_endpoints(&self.sim, &fresh, dst_fresh, &mut caps);
+                        self.sim.set_flow_caps(&caps);
                     }
                 }
             };
@@ -1257,6 +1260,7 @@ impl DataGrid {
                 .with_costs(self.costs)
                 .with_cached_control(cached);
         session.start(&mut self.sim);
+        let mut caps = Vec::new();
         loop {
             let ev = self
                 .sim
@@ -1279,7 +1283,9 @@ impl DataGrid {
                     let fresh: Vec<TransferEndpoint> =
                         sources.iter().map(|&s| self.endpoint_for(s)).collect();
                     let dst_fresh = self.endpoint_for(dst);
-                    session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
+                    caps.clear();
+                    session.refresh_endpoints(&self.sim, &fresh, dst_fresh, &mut caps);
+                    self.sim.set_flow_caps(&caps);
                 }
             }
         }
@@ -1335,7 +1341,7 @@ impl DataGrid {
         .with_costs(self.costs)
         .with_control_from(self.node_of(client));
         session.start(&mut self.sim);
-        let sources = [src];
+        let mut caps = Vec::new();
         loop {
             let ev = self
                 .sim
@@ -1350,10 +1356,11 @@ impl DataGrid {
                 let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
                 self.handle_internal(&ev);
                 if monitor_tick {
-                    let fresh: Vec<TransferEndpoint> =
-                        sources.iter().map(|&s| self.endpoint_for(s)).collect();
+                    let fresh = [self.endpoint_for(src)];
                     let dst_fresh = self.endpoint_for(dst);
-                    session.refresh_endpoints(&mut self.sim, &fresh, dst_fresh);
+                    caps.clear();
+                    session.refresh_endpoints(&self.sim, &fresh, dst_fresh, &mut caps);
+                    self.sim.set_flow_caps(&caps);
                 }
             }
         }

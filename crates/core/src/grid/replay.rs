@@ -31,8 +31,9 @@ use datagrid_gridftp::executor::{SessionStatus, TransferSession};
 use datagrid_gridftp::instrument::protocol_label;
 use datagrid_gridftp::transfer::{PhaseRecord, TransferOutcome, TransferRequest};
 use datagrid_obs::{Event, PhaseProfiler};
-use datagrid_simnet::engine::{EventKind, FlowId};
+use datagrid_simnet::engine::{EngineStats, EventKind, FlowId};
 use datagrid_simnet::time::{SimDuration, SimTime};
+use datagrid_simnet::topology::Bandwidth;
 use datagrid_sysmon::host::HostId;
 
 use super::{DataGrid, FetchOptions, SESSION_TOKEN_BASE, TOK_MONITOR};
@@ -204,6 +205,8 @@ struct Driver<'a> {
     flow_owner: HashMap<FlowId, usize>,
     /// Reusable ranked-candidate buffer for [`Driver::decide`].
     cand_buf: Vec<CandidateScore>,
+    /// Reusable monitor-tick batch of `(flow, cap)` refreshes.
+    cap_buf: Vec<(FlowId, Bandwidth)>,
     outcomes: Vec<Option<ReplayOutcome>>,
     remaining: usize,
     /// The grid's phase profiler, held here for the duration of the run
@@ -256,6 +259,7 @@ impl DataGrid {
             session_blocks: HashMap::new(),
             flow_owner: HashMap::new(),
             cand_buf: Vec::new(),
+            cap_buf: Vec::new(),
             outcomes: std::iter::repeat_with(|| None).take(jobs.len()).collect(),
             remaining: jobs.len(),
             prof,
@@ -310,6 +314,27 @@ impl DataGrid {
     }
 }
 
+/// Attributes the solver passes between two engine snapshots to the phase
+/// at `path`: calls are solves, items are the flows they touched.
+fn record_solves(
+    prof: &PhaseProfiler,
+    path: &[&'static str],
+    before: &EngineStats,
+    after: &EngineStats,
+) {
+    let solves = (after.incremental_solves + after.full_solves)
+        .saturating_sub(before.incremental_solves + before.full_solves);
+    if solves > 0 {
+        prof.record_external(
+            path,
+            solves,
+            after
+                .solver_flows_touched
+                .saturating_sub(before.solver_flows_touched),
+        );
+    }
+}
+
 impl Driver<'_> {
     // lint: hot-path
     fn run(&mut self) -> Result<(), GridError> {
@@ -325,17 +350,7 @@ impl Driver<'_> {
             // Attribute the solver work this settle step triggered to a
             // nested `settle/solve` phase, from the engine's own counters.
             let after = self.grid.sim.stats();
-            let solves = (after.incremental_solves + after.full_solves)
-                .saturating_sub(before.incremental_solves + before.full_solves);
-            if solves > 0 {
-                self.prof.record_external(
-                    &["settle", "solve"],
-                    solves,
-                    after
-                        .solver_flows_touched
-                        .saturating_sub(before.solver_flows_touched),
-                );
-            }
+            record_solves(&self.prof, &["settle", "solve"], &before, &after);
             // Cohort batching: count batched solve passes and the per-event
             // solves they replaced, so the profile shows the batching win.
             let avoided = after.solves_avoided.saturating_sub(before.solves_avoided);
@@ -385,15 +400,30 @@ impl Driver<'_> {
             self.grid.handle_internal(&ev);
             if monitor_tick {
                 // Host loads just advanced: push fresh disk/CPU limits
-                // into every running transfer, as the blocking paths do.
-                for st in &mut self.states {
-                    if let Phase::Transferring(session) = &mut st.phase {
-                        let choice = st.choice.as_ref().expect("transferring jobs have a choice");
-                        let fresh = [self.grid.endpoint_for(choice.host)];
-                        let dst_fresh = self.grid.endpoint_for(st.client);
-                        session.refresh_endpoints(&mut self.grid.sim, &fresh, dst_fresh);
+                // into every running transfer, as the blocking paths do,
+                // as one batch that solves each touched component once.
+                let before = self.grid.sim.stats();
+                {
+                    let _refresh = self.prof.span("refresh");
+                    self.cap_buf.clear();
+                    for st in &mut self.states {
+                        if let Phase::Transferring(session) = &mut st.phase {
+                            let choice =
+                                st.choice.as_ref().expect("transferring jobs have a choice");
+                            let fresh = [self.grid.endpoint_for(choice.host)];
+                            let dst_fresh = self.grid.endpoint_for(st.client);
+                            session.refresh_endpoints(
+                                &self.grid.sim,
+                                &fresh,
+                                dst_fresh,
+                                &mut self.cap_buf,
+                            );
+                        }
                     }
+                    self.grid.sim.set_flow_caps(&self.cap_buf);
                 }
+                let after = self.grid.sim.stats();
+                record_solves(&self.prof, &["refresh", "solve"], &before, &after);
             }
         }
         Ok(())

@@ -10,26 +10,43 @@
 //! allocation-free, so total allocations stay a small multiple of the job
 //! count no matter how many events the replay pumps.
 //!
+//! A second case pins the monitor-tick refresh the replay driver runs for
+//! every transferring session: once warm, refreshing running sessions'
+//! stream caps and applying them as one batch allocates nothing.
+//!
 //! The allocator lives here (an integration test is its own crate root)
 //! because every library crate carries `#![forbid(unsafe_code)]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use datagrid_core::grid::{FetchOptions, GridBuilder};
+use datagrid_core::grid::{DataGrid, FetchOptions, GridBuilder};
 use datagrid_core::recovery::RecoveryOptions;
 use datagrid_core::ReplayJob;
+use datagrid_gridftp::executor::{SessionStatus, TransferSession};
+use datagrid_gridftp::transfer::TransferRequest;
 use datagrid_simnet::prelude::*;
+use datagrid_sysmon::host::HostId;
 use datagrid_sysmon::host::HostSpec;
 use datagrid_sysmon::load::LoadModel;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, not global:
+    /// the test harness runs tests on parallel threads, and each test
+    /// must see only its own allocations. `const`-initialised with no
+    /// destructor, so bumping it never allocates or registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -38,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -46,8 +63,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
@@ -138,5 +156,122 @@ fn replay_allocations_scale_with_jobs_not_events() {
         "steady replay allocated {steady_allocs} times for {} jobs / {steady_events} events \
          (budget {budget}); something is allocating per event",
         jobs.len()
+    );
+}
+
+/// Refreshes every session's endpoints from the grid's current host state
+/// and applies the resulting caps as one batch — the replay driver's
+/// monitor-tick refresh.
+fn refresh_tick(
+    grid: &DataGrid,
+    sim: &mut NetSim,
+    sessions: &mut [(HostId, TransferSession)],
+    client: HostId,
+    caps: &mut Vec<(FlowId, Bandwidth)>,
+) {
+    caps.clear();
+    for (src, session) in sessions.iter_mut() {
+        let fresh = [grid.endpoint_for(*src)];
+        session.refresh_endpoints(sim, &fresh, grid.endpoint_for(client), caps);
+    }
+    sim.set_flow_caps(caps);
+}
+
+#[test]
+fn warmed_monitor_tick_refresh_allocates_nothing() {
+    // AR(1) loads with noise move every host's disk and CPU headroom, and
+    // so every stream cap, on every monitor tick: the batch is never
+    // empty and never all-unchanged.
+    let busy = |mean: f64| LoadModel::Ar1 {
+        mean,
+        phi: 0.5,
+        sigma: 0.1,
+    };
+    let mut b = GridBuilder::new(43);
+    let client = b.add_host(
+        HostSpec::new("client").with_cpu(2, 2.0),
+        busy(0.3),
+        busy(0.3),
+    );
+    let fast = b.add_host(HostSpec::new("fast").with_cpu(1, 2.8), busy(0.4), busy(0.5));
+    let slow = b.add_host(HostSpec::new("slow").with_cpu(1, 0.9), busy(0.5), busy(0.6));
+    let sw = b.add_switch("switch");
+    let ms = SimDuration::from_millis;
+    b.topology_mut()
+        .add_duplex_link(client, sw, LinkSpec::new(Bandwidth::from_gbps(1.0), ms(1)));
+    b.topology_mut()
+        .add_duplex_link(fast, sw, LinkSpec::new(Bandwidth::from_mbps(100.0), ms(4)));
+    b.topology_mut()
+        .add_duplex_link(slow, sw, LinkSpec::new(Bandwidth::from_mbps(50.0), ms(10)));
+    let mut grid = b.build();
+    grid.recorder_mut().set_enabled(false);
+    grid.warm_up(SimDuration::from_secs(30));
+    let [client, fast, slow] = ["client", "fast", "slow"].map(|n| grid.host_id(n).unwrap());
+
+    // The sessions run on a copy of the grid's network, so the test owns
+    // their event loop while the grid's own loop advances host loads.
+    let mut sim = NetSim::new(grid.network().topology().clone(), 7);
+    sim.set_validation(false);
+    sim.set_auto_shrink(false);
+    let mut sessions: Vec<(HostId, TransferSession)> = [fast, slow, fast, slow]
+        .into_iter()
+        .enumerate()
+        .map(|(i, src)| {
+            let tcp = grid.tcp_for(grid.node_of(src), grid.node_of(client));
+            let mut session = TransferSession::new(
+                TransferRequest::new(1 << 32).with_parallelism(4),
+                grid.endpoint_for(src),
+                grid.endpoint_for(client),
+                tcp,
+                (1 << 33) + i as u64 * TransferSession::TOKENS_PER_SESSION,
+            )
+            .unwrap();
+            session.start(&mut sim);
+            (src, session)
+        })
+        .collect();
+    // Run the control phases until every session is moving data.
+    while sessions
+        .iter()
+        .any(|(_, s)| s.active_flow_ids().next().is_none())
+    {
+        let ev = sim.next_event().expect("sessions keep the queue busy");
+        for (_, session) in &mut sessions {
+            if session.owns(&ev) {
+                let status = session.handle(&mut sim, &ev);
+                assert!(matches!(status, SessionStatus::InProgress));
+            }
+        }
+    }
+    let streams: usize = sessions
+        .iter()
+        .map(|(_, s)| s.active_flow_ids().count())
+        .sum();
+    assert_eq!(streams, 16);
+
+    // Warm-up tick: sizes the caller's batch buffer and the engine's
+    // changed-cap scratch.
+    let mut caps = Vec::new();
+    grid.warm_up(SimDuration::from_secs(10));
+    refresh_tick(&grid, &mut sim, &mut sessions, client, &mut caps);
+
+    // Measured tick: fresh host loads, same sessions.
+    grid.warm_up(SimDuration::from_secs(10));
+    let solves_before = sim.stats().incremental_solves;
+    let a0 = allocs();
+    refresh_tick(&grid, &mut sim, &mut sessions, client, &mut caps);
+    let tick_allocs = allocs() - a0;
+    let solves = sim.stats().incremental_solves - solves_before;
+
+    assert_eq!(caps.len(), streams, "every running stream is refreshed");
+    // Every stream crosses the client's access link: one component, so a
+    // tick that changes any cap costs exactly one solve.
+    assert_eq!(
+        solves, 1,
+        "the tick's caps must change, in one batched solve"
+    );
+    assert_eq!(
+        tick_allocs, 0,
+        "a warmed monitor-tick refresh must not allocate (saw {tick_allocs} allocations)"
     );
 }

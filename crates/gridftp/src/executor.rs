@@ -518,14 +518,13 @@ impl TransferSession {
         sim.schedule_timer_after(reply, self.token_base + Self::TOK_COMPLETION);
     }
 
-    /// The per-stream rate ceiling for each stripe source under current
+    /// The per-stream rate ceiling for stripe `source` under current
     /// endpoint conditions: the TCP window/loss bound and the fair shares
     /// of the source disk/CPU and destination disk/CPU.
-    fn per_source_stream_caps(&self, sim: &NetSim) -> Vec<Bandwidth> {
+    fn stream_cap(&self, sim: &NetSim, source: &TransferEndpoint) -> Bandwidth {
         let mode = self.req.effective_mode();
         let streams = self.req.streams();
-        let stripes = self.sources.len() as u32;
-        let total_streams = u64::from(streams) * u64::from(stripes);
+        let total_streams = u64::from(streams) * self.sources.len() as u64;
         let mut cpu_penalty = if mode.is_extended() {
             self.costs.mode_e_cpu_penalty
         } else {
@@ -543,48 +542,46 @@ impl TransferSession {
             .as_bps()
             .min(self.dst.cpu_rate(&self.costs).as_bps() * mode_cpu_scale);
         let dst_share = dst_aggregate / total_streams as f64;
-        self.sources
-            .iter()
-            .map(|source| {
-                let rtt = sim.rtt(source.node, self.dst.node);
-                let tcp_cap = self.tcp.steady_rate(rtt).as_bps();
-                let src_aggregate = source
-                    .disk_read
-                    .as_bps()
-                    .min(source.cpu_rate(&self.costs).as_bps() * mode_cpu_scale);
-                let src_share = src_aggregate / f64::from(streams);
-                Bandwidth::from_bps(tcp_cap.min(src_share).min(dst_share))
-            })
-            .collect()
+        let rtt = sim.rtt(source.node, self.dst.node);
+        let tcp_cap = self.tcp.steady_rate(rtt).as_bps();
+        let src_aggregate = source
+            .disk_read
+            .as_bps()
+            .min(source.cpu_rate(&self.costs).as_bps() * mode_cpu_scale);
+        let src_share = src_aggregate / f64::from(streams);
+        Bandwidth::from_bps(tcp_cap.min(src_share).min(dst_share))
     }
 
     /// Updates the session's view of endpoint resources (disk availability,
-    /// CPU headroom) and re-caps active data flows accordingly. Drivers
-    /// call this when monitoring observes that host load changed, so long
-    /// transfers genuinely track the dynamic environment.
+    /// CPU headroom) and appends the resulting `(flow, cap)` for every
+    /// active data flow to `caps`. Drivers call this when monitoring
+    /// observes that host load changed, then apply the whole batch with
+    /// one [`NetSim::set_flow_caps`], so long transfers genuinely track the
+    /// dynamic environment.
     ///
     /// # Panics
     ///
     /// Panics if `sources` does not match the session's stripe count.
+    // lint: hot-path
     pub fn refresh_endpoints(
         &mut self,
-        sim: &mut NetSim,
+        sim: &NetSim,
         sources: &[TransferEndpoint],
         dst: TransferEndpoint,
+        caps: &mut Vec<(FlowId, Bandwidth)>,
     ) {
         assert_eq!(
             sources.len(),
             self.sources.len(),
             "stripe count cannot change mid-transfer"
         );
-        self.sources = sources.to_vec();
+        self.sources.copy_from_slice(sources);
         self.dst = dst;
-        if self.state != State::Data || self.active_flows.is_empty() {
+        if self.state != State::Data {
             return;
         }
-        let caps = self.per_source_stream_caps(sim);
         for (&flow, stream) in &self.active_flows {
-            sim.set_flow_cap(flow, caps[stream.source]);
+            caps.push((flow, self.stream_cap(sim, &self.sources[stream.source])));
         }
     }
 
@@ -617,12 +614,10 @@ impl TransferSession {
         let total_payload = self.req.payload_bytes();
         let stripes = self.sources.len() as u32;
         let stripe_payloads = TransferMode::split_across_streams(total_payload, stripes);
-        let caps = self.per_source_stream_caps(sim);
         let sources = self.sources.clone();
 
-        for (src_idx, ((source, stripe_payload), cap)) in
-            sources.iter().zip(stripe_payloads).zip(caps).enumerate()
-        {
+        for (src_idx, (source, stripe_payload)) in sources.iter().zip(stripe_payloads).enumerate() {
+            let cap = self.stream_cap(sim, source);
             for stream_payload in TransferMode::split_across_streams(stripe_payload, streams) {
                 let wire = mode.wire_bytes(stream_payload);
                 self.wire_bytes += wire;
@@ -1620,11 +1615,14 @@ mod refresh_tests {
             let ev = sim.next_event().expect("work pending");
             if matches!(ev.kind, EventKind::TimerFired(777)) {
                 if let Some(disk) = mid_disk_mbps {
+                    let mut caps = Vec::new();
                     session.refresh_endpoints(
-                        &mut sim,
+                        &sim,
                         &[endpoint(a, disk)],
                         endpoint(b, 10_000.0),
+                        &mut caps,
                     );
+                    sim.set_flow_caps(&caps);
                 }
                 continue;
             }
@@ -1673,11 +1671,14 @@ mod refresh_tests {
             loop {
                 let ev = sim.next_event().expect("work pending");
                 if matches!(ev.kind, EventKind::TimerFired(777)) {
+                    let mut caps = Vec::new();
                     session.refresh_endpoints(
-                        &mut sim,
+                        &sim,
                         &[endpoint(a, 800.0)],
                         endpoint(b, 10_000.0),
+                        &mut caps,
                     );
+                    sim.set_flow_caps(&caps);
                     refreshed = true;
                     continue;
                 }

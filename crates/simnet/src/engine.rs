@@ -413,7 +413,9 @@ pub struct EngineStats {
     /// solves with a single component solve.
     pub batched_solves: u64,
     /// Per-event solves skipped because a cohort deferred them into one
-    /// batched solve (`deferred - 1` summed over cohorts).
+    /// batched solve (`deferred - 1` summed over cohorts), or because a
+    /// [`NetSim::set_flow_caps`] batch solved per component rather than
+    /// per changed cap.
     pub solves_avoided: u64,
     /// Solver transitions audited and certified against the pre-solve bit
     /// snapshot (only counted while validation is on; see
@@ -492,6 +494,9 @@ pub struct NetSim {
     batch_active: bool,
     /// Per-event solves deferred by the open cohort so far.
     batch_deferred: u64,
+    /// Slots whose cap changed in the current [`NetSim::set_flow_caps`]
+    /// call, reused across calls.
+    cap_changed: Vec<u32>,
 }
 
 impl NetSim {
@@ -540,6 +545,7 @@ impl NetSim {
             batching: true,
             batch_active: false,
             batch_deferred: 0,
+            cap_changed: Vec::new(),
         }
     }
 
@@ -592,7 +598,9 @@ impl NetSim {
     /// components, instead of one solve per event. Exact: max-min rates
     /// depend only on the final flow/link state of the instant, so the
     /// batched solve assigns the same rates the last per-event solve would
-    /// have. The per-event path is kept for differential testing.
+    /// have. The same switch governs [`NetSim::set_flow_caps`]: armed, a
+    /// cap batch solves each touched component once; disarmed, once per
+    /// changed cap. The per-event path is kept for differential testing.
     pub fn set_event_batching(&mut self, enabled: bool) {
         debug_assert!(!self.batch_active, "toggled batching inside a cohort");
         self.batching = enabled;
@@ -1023,7 +1031,9 @@ impl NetSim {
         let links = self.link_caps.len();
         self.comp.shrink(slots, links);
         self.solver.shrink();
+        // Covers this line and the next:
         self.trans.entries = Vec::new(); // lint: allow(alloc-in-hot-path) -- alloc-free capacity release
+        self.cap_changed = Vec::new();
         let mut probe = self.probe.borrow_mut();
         probe.comp.shrink(slots, links);
         probe.solver.shrink();
@@ -1229,20 +1239,60 @@ impl NetSim {
         })
     }
 
-    /// Changes the rate ceiling of an active flow (e.g. an endpoint's disk
-    /// got busier). Returns `false` if the flow is no longer active.
-    pub fn set_flow_cap(&mut self, id: FlowId, cap: Bandwidth) -> bool {
-        let Some(&slot) = self.id_slots.get(&id) else {
-            return false;
-        };
-        let slot = slot as usize;
-        self.flows[slot]
-            .as_mut()
-            .expect("indexed flow is live")
-            .cap_bps = cap.as_bps();
-        self.net_version += 1;
-        self.reallocate_for_flow(slot);
-        true
+    /// Changes the rate ceilings of active flows (e.g. endpoints' disks got
+    /// busier), then re-solves each touched component once. Entries whose
+    /// cap is bit-equal to the flow's current one, and ids no longer
+    /// active, are skipped without a solve. With event batching disarmed
+    /// (the differential oracle) every changed cap solves on its own, as a
+    /// sequence of single-flow updates would.
+    ///
+    /// Components are solved separately, not as one union: progressive
+    /// filling shares its fill level across everything it solves, so a
+    /// union would couple the rounding of unrelated components.
+    // lint: hot-path
+    pub fn set_flow_caps(&mut self, caps: &[(FlowId, Bandwidth)]) {
+        self.cap_changed.clear();
+        for &(id, cap) in caps {
+            let Some(&slot) = self.id_slots.get(&id) else {
+                continue;
+            };
+            let f = self.flows[slot as usize]
+                .as_mut()
+                .expect("indexed flow is live");
+            let bps = cap.as_bps();
+            if f.cap_bps.to_bits() == bps.to_bits() {
+                continue;
+            }
+            f.cap_bps = bps;
+            self.net_version += 1;
+            if self.batching {
+                self.cap_changed.push(slot);
+            } else {
+                self.reallocate_for_flow(slot as usize);
+            }
+        }
+        if self.cap_changed.is_empty() {
+            return;
+        }
+        let solves_before = self.stats.incremental_solves + self.stats.full_solves;
+        match self.mode {
+            SolverMode::Full => self.resolve_everything(),
+            SolverMode::Incremental => {
+                // Walk stamps only grow, so a slot stamped at or past
+                // `first` sits in a component this call already solved.
+                let first = self.comp.stamp + 1;
+                for i in 0..self.cap_changed.len() {
+                    let slot = self.cap_changed[i] as usize;
+                    if self.comp.flow_stamp.get(slot).is_some_and(|&s| s >= first) {
+                        continue;
+                    }
+                    self.reallocate_for_flow(slot);
+                }
+            }
+        }
+        // Per-event mode would have solved once per changed cap.
+        let solves = self.stats.incremental_solves + self.stats.full_solves - solves_before;
+        self.stats.solves_avoided += self.cap_changed.len() as u64 - solves;
     }
 
     /// The rate currently allocated to a flow, if it is active.
@@ -2054,7 +2104,7 @@ mod tests {
         let _ = sim.next_event();
         // Half done at 0.5 s; cap to 25 Mbps -> remaining 6.25 MB at
         // 3.125 MB/s = 2 s more.
-        assert!(sim.set_flow_cap(id, mbps(25.0)));
+        sim.set_flow_caps(&[(id, mbps(25.0))]);
         let ev = sim.next_event().unwrap();
         let EventKind::FlowCompleted(done) = ev.kind else {
             panic!()
@@ -2064,7 +2114,9 @@ mod tests {
             "{}",
             done.finished
         );
-        assert!(!sim.set_flow_cap(id, mbps(1.0)));
+        // Finished: the update is ignored.
+        sim.set_flow_caps(&[(id, mbps(1.0))]);
+        assert_eq!(sim.flow_rate(id), None);
     }
 
     #[test]
@@ -2532,6 +2584,85 @@ mod mode_tests {
         }
         assert_eq!(sim.stats().flows_completed, 50);
         assert_eq!(sim.active_flow_count(), 0);
+    }
+
+    #[test]
+    fn unchanged_cap_costs_no_solve() {
+        let (t, [a, b, _, _]) = disjoint_pairs();
+        let mut sim = NetSim::new(t, 1);
+        let f = sim.start_flow(FlowSpec::new(a, b, 1_000_000_000).with_cap(mbps(40.0)));
+        let g = sim.start_flow(FlowSpec::new(a, b, 1_000_000_000));
+        let before = sim.stats();
+        let version = sim.net_version();
+        sim.set_flow_caps(&[(f, mbps(40.0)), (f, mbps(40.0))]);
+        assert_eq!(sim.stats(), before);
+        assert_eq!(sim.net_version(), version);
+        // Per-event mode skips it just the same.
+        sim.set_event_batching(false);
+        sim.set_flow_caps(&[(f, mbps(40.0))]);
+        assert_eq!(sim.stats(), before);
+        assert_eq!(sim.flow_rate(g), Some(mbps(60.0)));
+    }
+
+    #[test]
+    fn finished_flow_cap_is_ignored() {
+        let (t, [a, b, _, _]) = disjoint_pairs();
+        let mut sim = NetSim::new(t, 1);
+        let done = sim.start_flow(FlowSpec::new(a, b, 500_000));
+        assert!(sim.next_event().is_some());
+        assert_eq!(sim.flow_rate(done), None);
+        let live = sim.start_flow(FlowSpec::new(a, b, 1_000_000_000));
+        let before = sim.stats();
+        sim.set_flow_caps(&[(done, mbps(10.0))]);
+        assert_eq!(sim.stats(), before);
+        // A finished id next to a live one: only the live cap applies.
+        sim.set_flow_caps(&[(done, mbps(10.0)), (live, mbps(30.0))]);
+        let after = sim.stats();
+        assert_eq!(after.incremental_solves, before.incremental_solves + 1);
+        assert_eq!(sim.flow_rate(live), Some(mbps(30.0)));
+        assert_eq!(sim.active_flow_count(), 1);
+    }
+
+    #[test]
+    fn caps_on_two_components_cost_two_solves() {
+        let run = |batching: bool| {
+            let (t, [a, b, c, d]) = disjoint_pairs();
+            let mut sim = NetSim::new(t, 1);
+            sim.set_event_batching(batching);
+            let ids = [
+                sim.start_flow(FlowSpec::new(a, b, 1_000_000_000)),
+                sim.start_flow(FlowSpec::new(c, d, 1_000_000_000)),
+                sim.start_flow(FlowSpec::new(a, b, 1_000_000_000)),
+                sim.start_flow(FlowSpec::new(c, d, 1_000_000_000)),
+            ];
+            let before = sim.stats();
+            let caps: Vec<(FlowId, Bandwidth)> = ids
+                .iter()
+                .zip([10.0, 20.0, 30.0, 40.0])
+                .map(|(&id, m)| (id, mbps(m)))
+                .collect();
+            sim.set_flow_caps(&caps);
+            let after = sim.stats();
+            let rates: Vec<_> = ids.iter().map(|&id| sim.flow_rate(id)).collect();
+            (
+                after.incremental_solves - before.incremental_solves,
+                after.solver_flows_touched - before.solver_flows_touched,
+                after.solves_avoided - before.solves_avoided,
+                rates,
+            )
+        };
+        let (solves, touched, avoided, rates) = run(true);
+        // One solve per component, each over its own two flows.
+        assert_eq!(solves, 2);
+        assert_eq!(touched, 4);
+        assert_eq!(avoided, 2);
+        // Per-event mode: one solve per changed cap, same rates.
+        let (plain_solves, _, plain_avoided, plain_rates) = run(false);
+        assert_eq!(plain_solves, 4);
+        assert_eq!(plain_avoided, 0);
+        assert_eq!(rates, plain_rates);
+        assert_eq!(rates[0], Some(mbps(10.0)));
+        assert_eq!(rates[3], Some(mbps(40.0)));
     }
 }
 

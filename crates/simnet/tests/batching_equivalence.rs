@@ -3,7 +3,9 @@
 //! per same-instant event cohort) and the per-event engine
 //! (`set_event_batching(false)`) must emit byte-identical public event
 //! streams and agree on every counter except the solver-pass bookkeeping
-//! the batching exists to change.
+//! the batching exists to change. The same holds for batched cap updates
+//! ([`NetSim::set_flow_caps`]: one solve per touched component against
+//! one solve per changed cap), applied mid-run as monitor ticks do.
 
 use datagrid_simnet::fault::FaultPlan;
 use datagrid_simnet::prelude::*;
@@ -62,6 +64,28 @@ fn drain_log(sim: &mut NetSim) -> String {
     log
 }
 
+/// Like [`drain_log`], but applies `steps[i].1` with one
+/// [`NetSim::set_flow_caps`] call right after the `steps[i].0`-th public
+/// event (steps sorted by event index). Also returns how many steps ran.
+fn drain_log_with_caps(
+    sim: &mut NetSim,
+    steps: &[(usize, Vec<(FlowId, Bandwidth)>)],
+) -> (String, usize) {
+    let mut log = String::new();
+    let mut seen = 0;
+    let mut applied = 0;
+    let mut next = steps.iter().peekable();
+    while let Some(ev) = sim.next_event() {
+        log.push_str(&format!("{:?} {:?}\n", ev.time, ev.kind));
+        seen += 1;
+        while let Some((_, caps)) = next.next_if(|(at, _)| *at < seen) {
+            sim.set_flow_caps(caps);
+            applied += 1;
+        }
+    }
+    (log, applied)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -77,6 +101,8 @@ proptest! {
         srcs in 2usize..5,
         dsts in 2usize..5,
         flap_rate in 0.0f64..0.4,
+        cap_frac in 0.0f64..0.5,
+        picks in proptest::collection::vec((0usize..24, 5.0f64..400.0), 1..12),
     ) {
         let build = |batching: bool| {
             let (topo, s, d, links) = dumbbell(srcs, dsts, middle_mbps);
@@ -93,6 +119,7 @@ proptest! {
                 ));
             }
             let mut rng = SimRng::seed_from_u64(seed);
+            let mut ids = Vec::new();
             for (i, &size) in sizes.iter().enumerate() {
                 let src = s[rng.below(s.len() as u64) as usize];
                 let dst = d[rng.below(d.len() as u64) as usize];
@@ -100,13 +127,53 @@ proptest! {
                 // start instant and (often) completion instant — real
                 // same-instant cohorts, not just the t=0 burst.
                 let size = if i % 3 == 0 { size - (size % 1000) } else { size };
-                sim.start_flow(FlowSpec::new(src, dst, size));
+                ids.push(sim.start_flow(FlowSpec::new(src, dst, size)));
             }
-            sim
+            (sim, ids)
         };
 
-        let mut batched = build(true);
-        let mut per_event = build(false);
+        // Batched cap updates, mid-run: the first step caps a random
+        // subset; the second re-sends every other one of those caps
+        // unchanged, changes the rest, and by then some picked flows have
+        // finished, so their ids must be ignored.
+        let (mut batched, ids) = build(true);
+        let (mut per_event, _) = build(false);
+        let first: Vec<(FlowId, Bandwidth)> = picks
+            .iter()
+            .map(|&(i, mbps)| (ids[i % ids.len()], Bandwidth::from_mbps(mbps)))
+            .collect();
+        let second: Vec<(FlowId, Bandwidth)> = first
+            .iter()
+            .enumerate()
+            .map(|(k, &(id, cap))| {
+                if k % 2 == 0 {
+                    (id, cap)
+                } else {
+                    (id, Bandwidth::from_bps(cap.as_bps() * 0.5))
+                }
+            })
+            .collect();
+        // Both steps land before the last flow completes.
+        let cap_at = (cap_frac * sizes.len() as f64) as usize;
+        let steps = [(cap_at, first), (cap_at + sizes.len() / 4, second)];
+        let (log_a, applied) = drain_log_with_caps(&mut batched, &steps);
+        let (log_b, _) = drain_log_with_caps(&mut per_event, &steps);
+        prop_assert_eq!(applied, 2);
+        prop_assert_eq!(log_a, log_b, "public event streams diverged under cap updates");
+        let a = batched.stats();
+        let b = per_event.stats();
+        prop_assert_eq!(a.flows_completed, b.flows_completed);
+        prop_assert_eq!(a.bytes_completed, b.bytes_completed);
+        prop_assert_eq!(a.flows_dropped, b.flows_dropped);
+        prop_assert_eq!(b.solves_avoided, 0);
+        prop_assert_eq!(
+            (b.incremental_solves + b.full_solves) - (a.incremental_solves + a.full_solves),
+            a.solves_avoided,
+            "every avoided solve must be accounted for"
+        );
+
+        let (mut batched, _) = build(true);
+        let (mut per_event, _) = build(false);
         let log_a = drain_log(&mut batched);
         let log_b = drain_log(&mut per_event);
         prop_assert_eq!(log_a, log_b, "public event streams diverged");

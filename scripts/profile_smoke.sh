@@ -22,9 +22,11 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_profile.json}"
 
 # CI-sized sweep: enough concurrency to populate every phase and several
-# timeline windows, small enough to stay in seconds. The default
-# 256/1024/4096 sweep runs locally.
-export DATAGRID_PROFILE_CLIENTS="${DATAGRID_PROFILE_CLIENTS:-16,64}"
+# timeline windows, small enough to stay in seconds. The 1024-client cell
+# is the smallest where batched monitor-tick cap updates move solves per
+# decision well past the budget's headroom. The default 256/1024/4096
+# sweep runs locally.
+export DATAGRID_PROFILE_CLIENTS="${DATAGRID_PROFILE_CLIENTS:-16,64,1024}"
 
 cargo build --release -p datagrid-bench --bin profile
 ./target/release/profile --out "${OUT}"
