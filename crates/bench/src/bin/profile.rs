@@ -159,6 +159,8 @@ fn check(path: &str) -> Result<(), String> {
         "settles_per_sec",
         "solves",
         "solves_per_decision",
+        "events_processed",
+        "events_per_decision",
         "windows",
     ] {
         let v = extract_number(&json, key)
@@ -324,6 +326,7 @@ fn main() {
         "settles",
         "settles/s",
         "solves/dec",
+        "events/dec",
         "avoided",
         "scratch h/m",
         "windows",
@@ -339,6 +342,7 @@ fn main() {
             format!("{}", c.settles),
             format!("{:.3}", c.settles_per_sec),
             format!("{:.2}", c.solves_per_decision),
+            format!("{:.2}", c.events_per_decision),
             format!("{}", c.solves_avoided),
             format!("{}/{}", c.scratch_hits, c.scratch_misses),
             format!("{}", c.windows),

@@ -1,13 +1,14 @@
 //! The deterministic perf budget: `profile --check-budget`.
 //!
 //! `BENCH_profile.json` is a pure function of the seed in default builds,
-//! so its *work counters* — solver passes per decision, batching savings,
-//! steady-state dispatch allocations — are stable enough to gate CI on
-//! directly, with no timing noise and no statistical machinery. The
-//! budget file (`ci/profile_budget.json`) states ceilings; this module
-//! re-reads the emitted report and fails loudly when a ceiling is
-//! crossed, which is exactly what a hot-path regression looks like in a
-//! deterministic simulator: the counters move, not the milliseconds.
+//! so its *work counters* — solver passes and engine events per decision,
+//! batching savings, steady-state dispatch allocations — are stable enough
+//! to gate CI on directly, with no timing noise and no statistical
+//! machinery. The budget file (`ci/profile_budget.json`) states
+//! ceilings; this module re-reads the emitted report and fails loudly
+//! when a ceiling is crossed, which is exactly what a hot-path regression
+//! looks like in a deterministic simulator: the counters move, not the
+//! milliseconds.
 //!
 //! Both files are the repo's own flat hand-rendered JSON, so the parser
 //! here is the same needle-scanning style as `profile --check` — not a
@@ -257,6 +258,36 @@ mod tests {
         let err = check_budget(&report(30.0, 0, 0), BUDGET).unwrap_err();
         assert!(err.contains("solves_avoided = 0"), "{err}");
         assert!(err.contains(">= 1"), "{err}");
+    }
+
+    #[test]
+    fn stale_queue_entries_fail_the_events_ceiling() {
+        // Superseded completion entries popped as events inflate the
+        // engine's events per decision; the ceiling must catch them.
+        let with_events = |per_decision: f64| {
+            report(30.0, 12, 0).replace(
+                "      \"solves\": 480,\n",
+                &format!(
+                    "      \"solves\": 480,\n      \"events_per_decision\": {per_decision:.6},\n"
+                ),
+            )
+        };
+        let budget = BUDGET.replace(
+            "      \"min_solves_avoided\"",
+            "      \"max_events_per_decision\": 20.5,\n      \"min_solves_avoided\"",
+        );
+        let summary = check_budget(&with_events(15.78), &budget).unwrap();
+        assert!(
+            summary.contains("events_per_decision = 15.78 <= 20.5"),
+            "{summary}"
+        );
+        let err = check_budget(&with_events(224.83), &budget).unwrap_err();
+        assert!(err.contains("events_per_decision = 224.83"), "{err}");
+        assert!(err.contains("<= 20.5"), "{err}");
+        // A report that stops emitting the counter fails rather than
+        // passing ungated.
+        let err = check_budget(&report(30.0, 12, 0), &budget).unwrap_err();
+        assert!(err.contains("no counter \"events_per_decision\""), "{err}");
     }
 
     #[test]

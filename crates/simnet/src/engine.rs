@@ -232,15 +232,14 @@ struct FlowState {
     started: SimTime,
     /// When `remaining` was last made exact.
     last_update: SimTime,
-    /// Bumped on every rate assignment; stale completion events carry an
-    /// older epoch and are discarded.
-    epoch: u64,
     tag: FlowTag,
 }
 
-#[derive(Debug, Clone)]
+/// Queue payloads. `Completion` entries are keyed by their flow slot, so
+/// each live flow has at most one.
+#[derive(Debug, Clone, Copy)]
 enum Internal {
-    Completion { slot: u32, epoch: u64 },
+    Completion { slot: u32 },
     Timer { token: u64 },
     BackgroundArrival { profile: usize },
     FaultTransition { index: usize, start: bool },
@@ -379,7 +378,10 @@ struct ProbeScratch {
 /// by the observability layer as `simnet.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Internal events processed (timers, completions, background arrivals).
+    /// Internal events processed: timers, flow completions, background
+    /// arrivals and fault transitions. Every one is live work, because the
+    /// queue keeps a single completion entry per flow and moves or cancels
+    /// it in place when the flow's rate changes or the flow goes away.
     pub events_processed: u64,
     /// Timers delivered to the driver.
     pub timers_fired: u64,
@@ -450,7 +452,6 @@ pub struct NetSim {
     queue: EventQueue<Internal>,
     pending: VecDeque<SimEvent>,
     now: SimTime,
-    epoch: u64,
     next_flow: u64,
     pending_timers: usize,
     rng_root: SimRng,
@@ -524,7 +525,6 @@ impl NetSim {
             queue: EventQueue::new(),
             pending: VecDeque::new(),
             now: SimTime::ZERO,
-            epoch: 0,
             next_flow: 0,
             pending_timers: 0,
             rng_root: SimRng::seed_from_u64(seed),
@@ -1197,7 +1197,6 @@ impl NetSim {
             rate_bps: f64::NAN,
             started: self.now,
             last_update: self.now,
-            epoch: 0,
             tag: spec.tag,
         };
         let slot = match self.free_slots.pop() {
@@ -1228,8 +1227,7 @@ impl NetSim {
     /// is not active (already completed or aborted).
     pub fn abort_flow(&mut self, id: FlowId) -> Option<FlowProgress> {
         let &slot = self.id_slots.get(&id)?;
-        let slot = slot as usize;
-        self.settle_flow(slot);
+        self.settle_flow(slot as usize);
         let f = self.remove_flow(slot);
         self.reallocate_after_removal(&f.route);
         Some(FlowProgress {
@@ -1594,16 +1592,13 @@ impl NetSim {
                     kind: EventKind::TimerFired(token),
                 });
             }
-            Internal::Completion { slot, epoch } => {
-                let slot = slot as usize;
-                let Some(f) = self.flows.get(slot).and_then(Option::as_ref) else {
-                    return; // flow already gone (aborted/dropped/slot freed)
-                };
-                if f.epoch != epoch {
-                    return; // stale: the flow's rate changed since this was scheduled
-                }
-                self.settle_flow(slot);
-                if self.flows[slot].as_ref().expect("checked live").remaining > 0.5 {
+            Internal::Completion { slot } => {
+                // Removing a flow cancels its entry, so the slot is live.
+                self.settle_flow(slot as usize);
+                let f = self.flows[slot as usize]
+                    .as_ref()
+                    .expect("queued flow is live");
+                if f.remaining > 0.5 {
                     // Rounding left a sliver; reschedule precisely.
                     self.schedule_completion(slot);
                     return;
@@ -1717,7 +1712,7 @@ impl NetSim {
         }
         let mut seeds: Vec<LinkId> = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
         for &slot in &victims {
-            let f = self.remove_flow(slot as usize);
+            let f = self.remove_flow(slot);
             seeds.extend_from_slice(&f.route);
         }
         self.stats.flows_dropped += victims.len() as u64;
@@ -1739,19 +1734,23 @@ impl NetSim {
         f.last_update = now;
     }
 
-    /// Unlinks a flow from the slab, the id map and every per-link index.
-    fn remove_flow(&mut self, slot: usize) -> FlowState {
-        let f = self.flows[slot].take().expect("remove of dead slot");
+    /// Unlinks a flow from the slab, the id map, every per-link index and
+    /// the event queue.
+    fn remove_flow(&mut self, slot: u32) -> FlowState {
+        let f = self.flows[slot as usize]
+            .take()
+            .expect("remove of dead slot");
         self.id_slots.remove(&f.id);
+        self.queue.remove_keyed(slot);
         for &l in f.route.iter() {
             let lf = &mut self.link_flows[l.index()];
             let pos = lf
                 .iter()
-                .position(|&s| s as usize == slot)
+                .position(|&s| s == slot)
                 .expect("flow indexed on its route links");
             lf.swap_remove(pos);
         }
-        self.free_slots.push(slot as u32);
+        self.free_slots.push(slot);
         self.net_version += 1;
         self.active_flows -= 1;
         if !matches!(f.tag, FlowTag::Background) {
@@ -1841,33 +1840,21 @@ impl NetSim {
             );
         }
         for i in 0..n {
-            let slot = self.comp.flows[i] as usize;
+            let slot = self.comp.flows[i];
             let new_rate = self.solver.rate(i);
-            let f = self.flows[slot].as_ref().expect("component flow is live");
+            let f = self.flows[slot as usize]
+                .as_ref()
+                .expect("component flow is live");
             // NAN (never solved) compares unequal to everything, so a new
             // flow always falls through to scheduling.
             if f.rate_bps == new_rate {
                 continue;
             }
-            let old_rate = f.rate_bps;
-            self.settle_flow(slot);
-            let f = self.flows[slot].as_mut().expect("component flow is live");
-            if old_rate > 0.0 && f.remaining <= 0.5 {
-                // Already due: a progressing flow whose bytes ran out still
-                // has its completion entry for this instant queued under
-                // the current epoch. Record the new rate (the certificate
-                // must see solved rates) but keep the epoch, so the entry
-                // pops in its original order — this keeps the public
-                // timeline identical between the batched-cohort and
-                // per-event paths.
-                f.rate_bps = new_rate;
-                continue;
-            }
-            self.epoch += 1;
-            let epoch = self.epoch;
-            let f = self.flows[slot].as_mut().expect("component flow is live");
+            self.settle_flow(slot as usize);
+            let f = self.flows[slot as usize]
+                .as_mut()
+                .expect("component flow is live");
             f.rate_bps = new_rate;
-            f.epoch = epoch;
             self.schedule_completion(slot);
         }
         if self.validate {
@@ -1915,20 +1902,13 @@ impl NetSim {
                 &self.link_caps,
             );
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
         for i in 0..n {
-            let slot = self.comp.flows[i] as usize;
+            let slot = self.comp.flows[i];
             let rate = self.solver.rate(i);
-            let f = self.flows[slot].as_mut().expect("live flow");
-            if f.rate_bps > 0.0 && f.remaining <= 0.5 {
-                // Already due (see `solve_component`): keep the queued
-                // completion entry so pop order matches the batched path.
-                f.rate_bps = rate;
-                continue;
-            }
-            f.rate_bps = rate;
-            f.epoch = epoch;
+            self.flows[slot as usize]
+                .as_mut()
+                .expect("live flow")
+                .rate_bps = rate;
             self.schedule_completion(slot);
         }
         if self.validate {
@@ -1937,9 +1917,19 @@ impl NetSim {
         }
     }
 
-    fn schedule_completion(&mut self, slot: usize) {
-        let f = self.flows[slot].as_ref().expect("schedule of dead slot");
+    /// Keys the flow's single completion entry to its current rate.
+    fn schedule_completion(&mut self, slot: u32) {
+        let f = self.flows[slot as usize]
+            .as_ref()
+            .expect("schedule of dead slot");
         let when = if f.remaining <= 0.5 {
+            if self.queue.contains_key(slot) {
+                // The bytes ran out under the queued entry, which is due
+                // now (or within rounding of now): keep it, so the flow
+                // pops in its original order however often a cohort
+                // re-solves its rate.
+                return;
+            }
             // Effectively done; deliver after the path's residual latency 0
             // (bytes already in flight are abstracted away by the fluid
             // model).
@@ -1947,16 +1937,12 @@ impl NetSim {
         } else if f.rate_bps > 0.0 {
             self.now + SimDuration::from_secs_f64(f.remaining / (f.rate_bps / 8.0))
         } else {
-            return; // stalled; a future reallocation will reschedule
+            // Stalled; a future reallocation will reschedule.
+            self.queue.remove_keyed(slot);
+            return;
         };
-        let epoch = f.epoch;
-        self.queue.push(
-            when,
-            Internal::Completion {
-                slot: slot as u32,
-                epoch,
-            },
-        );
+        self.queue
+            .schedule_keyed(slot, when, Internal::Completion { slot });
     }
 }
 
@@ -2868,6 +2854,95 @@ mod fault_tests {
             b,
         ));
     }
+
+    /// Pending fault transitions (start and clear edges not yet applied).
+    fn pending_fault_edges(sim: &NetSim) -> usize {
+        let edges: usize = sim
+            .faults
+            .iter()
+            .map(|r| 1 + usize::from(!r.fault.kind.is_instant()))
+            .sum();
+        edges - sim.stats.fault_transitions as usize
+    }
+
+    /// Queue hygiene under churn: 512 flows share one bottleneck with
+    /// staggered starts, cap changes, a zero-capacity stall, aborts and
+    /// slot reuse. After every event the queue holds at most one entry per
+    /// live, unstalled flow plus the pending timers, traffic profiles and
+    /// fault edges, and every processed event was real work rather than a
+    /// superseded completion.
+    #[test]
+    fn completion_queue_holds_only_live_entries() {
+        let (t, a, b, c) = line();
+        let mut sim = NetSim::new(t, 21);
+        let bottleneck = sim.routing().path(b, c).expect("routable").links()[0];
+        sim.install_fault_plan(FaultPlan::new().link_down(
+            SimTime::from_secs_f64(2.0),
+            SimDuration::from_secs(2),
+            bottleneck,
+        ));
+        // 64 start waves 50 ms apart, 8 flows each.
+        for wave in 0..64u64 {
+            sim.schedule_timer(SimTime::from_nanos(wave * 50_000_000), wave);
+        }
+        let mut live: Vec<FlowId> = Vec::new();
+        let mut aborted = 0;
+        let mut caps = Vec::new();
+        let mut stalled = false;
+        while let Some(ev) = sim.next_event() {
+            match ev.kind {
+                EventKind::TimerFired(wave) => {
+                    for j in 0..8 {
+                        let bytes = 100_000 + (wave * 8 + j) * 2_000;
+                        live.push(sim.start_flow(FlowSpec::new(a, c, bytes)));
+                    }
+                    if wave % 4 == 1 {
+                        caps.clear();
+                        let cap = mbps(0.05 * (1 + wave % 7) as f64);
+                        caps.extend(live.iter().step_by(3).map(|&id| (id, cap)));
+                        sim.set_flow_caps(&caps);
+                    }
+                    if wave % 5 == 2 {
+                        for id in live.drain(..2) {
+                            assert!(sim.abort_flow(id).is_some());
+                            aborted += 1;
+                        }
+                    }
+                }
+                EventKind::FlowCompleted(d) => live.retain(|&id| id != d.id),
+                EventKind::FaultChanged(n) => stalled |= n.active,
+            }
+            // Live flows bound the keyed entries; a stalled flow (rate 0,
+            // bytes left) may not hold one at all.
+            let completable = sim
+                .flows
+                .iter()
+                .flatten()
+                .filter(|f| f.rate_bps > 0.0 || f.remaining <= 0.5)
+                .count();
+            assert!(completable <= sim.active_flows);
+            let bound =
+                completable + sim.pending_timers + sim.background.len() + pending_fault_edges(&sim);
+            assert!(
+                sim.queue.len() <= bound,
+                "queue holds {} entries at {}, live work is {bound}",
+                sim.queue.len(),
+                ev.time
+            );
+            let s = sim.stats();
+            let real = s.timers_fired + s.flows_completed;
+            assert!(
+                s.events_processed * 10 <= real * 11,
+                "{} events processed for {real} timers and completions at {}",
+                s.events_processed,
+                ev.time
+            );
+        }
+        assert!(stalled);
+        assert_eq!(aborted, 26);
+        assert_eq!(sim.stats().flows_completed, 512 - aborted);
+        assert!(sim.queue.is_empty());
+    }
 }
 
 #[cfg(test)]
@@ -2932,9 +3007,9 @@ mod batch_tests {
         // cohort whose end-of-batch component is already empty.
         assert_eq!(plain.incremental_solves, 15);
         assert_eq!(batched.incremental_solves, 8);
-        // Superseded completion generations share timestamps too, so more
-        // than one cohort is entered; only one defers real work.
-        assert!(batched.event_cohorts >= 1);
+        // The queue holds no superseded completions, so the 8 completions
+        // are the only cohort.
+        assert_eq!(batched.event_cohorts, 1);
         assert_eq!(batched.batched_solves, 1);
         assert_eq!(batched.solves_avoided, 7);
         assert_eq!(plain.solves_avoided, 0);
@@ -2945,9 +3020,7 @@ mod batch_tests {
     /// The non-solver counters must be identical either way: batching
     /// defers solves, never events or flow mutations.
     fn sim_stats_quiescent(batched: &EngineStats, plain: &EngineStats) {
-        // `events_processed` may legitimately differ: deferred solves bump
-        // fewer epochs, so fewer superseded completion entries get popped
-        // and discarded.
+        assert_eq!(batched.events_processed, plain.events_processed);
         assert_eq!(batched.flows_started, plain.flows_started);
         assert_eq!(batched.flows_completed, plain.flows_completed);
         assert_eq!(batched.bytes_completed, plain.bytes_completed);

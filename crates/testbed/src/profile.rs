@@ -91,6 +91,12 @@ pub struct ProfileCell {
     /// much solver work one client arrival costs. Cohort batching and the
     /// score scratch both push this down.
     pub solves_per_decision: f64,
+    /// Internal events the engine popped and handled: timers, flow
+    /// completions, background arrivals and fault transitions.
+    pub events_processed: u64,
+    /// Engine events per selection decision — the queue-side headline: a
+    /// superseded completion entry popped as an event would inflate it.
+    pub events_per_decision: f64,
     /// Same-instant event cohorts the engine processed.
     pub event_cohorts: u64,
     /// Cohorts whose deferred rate changes settled in one solve.
@@ -185,6 +191,12 @@ impl ProfileReport {
                 "      \"solves_per_decision\": {:.6},",
                 c.solves_per_decision
             );
+            let _ = writeln!(out, "      \"events_processed\": {},", c.events_processed);
+            let _ = writeln!(
+                out,
+                "      \"events_per_decision\": {:.6},",
+                c.events_per_decision
+            );
             let _ = writeln!(out, "      \"event_cohorts\": {},", c.event_cohorts);
             let _ = writeln!(out, "      \"batched_solves\": {},", c.batched_solves);
             let _ = writeln!(out, "      \"solves_avoided\": {},", c.solves_avoided);
@@ -243,6 +255,7 @@ pub fn run_profile_cell(seed: u64, clients: usize, cfg: &ProfileConfig) -> Profi
     let makespan_s = report.makespan().as_secs_f64();
     let decisions = grid.metrics_snapshot().counter("selection.decisions");
     let mut stats = grid.network().stats();
+    stats.events_processed -= pre.events_processed;
     stats.incremental_solves -= pre.incremental_solves;
     stats.full_solves -= pre.full_solves;
     stats.event_cohorts -= pre.event_cohorts;
@@ -276,6 +289,13 @@ pub fn run_profile_cell(seed: u64, clients: usize, cfg: &ProfileConfig) -> Profi
             0.0
         }
     };
+    let per_decision = |n: u64| {
+        if decisions > 0 {
+            n as f64 / decisions as f64
+        } else {
+            0.0
+        }
+    };
     let cell = ProfileCell {
         clients,
         mode: gcfg.mode.label(),
@@ -287,11 +307,9 @@ pub fn run_profile_cell(seed: u64, clients: usize, cfg: &ProfileConfig) -> Profi
         settles,
         settles_per_sec: per_sec(settles),
         solves,
-        solves_per_decision: if decisions > 0 {
-            solves as f64 / decisions as f64
-        } else {
-            0.0
-        },
+        solves_per_decision: per_decision(solves),
+        events_processed: stats.events_processed,
+        events_per_decision: per_decision(stats.events_processed),
         event_cohorts: stats.event_cohorts,
         batched_solves: stats.batched_solves,
         solves_avoided: stats.solves_avoided,
