@@ -24,13 +24,14 @@ use std::collections::HashMap;
 
 use datagrid_catalog::catalog::ReplicaCatalog;
 use datagrid_catalog::name::{LogicalFileName, PhysicalFileName};
+#[cfg(doc)]
 use datagrid_gridftp::error::TransferError;
 use datagrid_gridftp::executor::{
-    ProtocolCosts, RecoveredTransfer, SessionStatus, TransferEndpoint, TransferSession,
+    ProtocolCosts, RecoveredTransfer, TransferEndpoint, TransferSession,
 };
-use datagrid_gridftp::instrument::{protocol_label, span_from_outcome};
+use datagrid_gridftp::instrument::span_from_outcome;
 use datagrid_gridftp::transfer::{
-    DataChannelProtection, PhaseRecord, Protocol, TransferOutcome, TransferRequest,
+    DataChannelProtection, Protocol, TransferOutcome, TransferRequest,
 };
 use datagrid_obs::{
     CandidateAudit, Event, MetricsRegistry, PhaseProfiler, Recorder, SelectionAuditLog,
@@ -55,6 +56,7 @@ use crate::error::GridError;
 use crate::factors::{rank_by_score, CandidateScore, SystemFactors};
 use crate::policy::{ReplicaSelector, SelectionPolicy};
 use crate::recovery::{RecoveredFetch, RecoveryOptions};
+use replay::plain_recovery;
 
 /// Histogram bounds (seconds) for whole transfers — the paper's measured
 /// times span roughly a second to a few hundred seconds.
@@ -180,19 +182,6 @@ impl FetchReport {
     pub fn chosen_candidate(&self) -> &CandidateScore {
         &self.candidates[self.chosen]
     }
-}
-
-/// Outcome of one replica's full retry episode (internal to the recovery
-/// paths): completed, or abandoned with the work totals preserved so a
-/// failover can still account for them.
-enum ReplicaEpisode {
-    Completed(RecoveredTransfer),
-    Abandoned {
-        attempts: u32,
-        delivered: u64,
-        payload_moved: u64,
-        backoff_total: SimDuration,
-    },
 }
 
 struct PendingHost {
@@ -508,7 +497,6 @@ impl GridBuilder {
                 rec
             },
             next_span_id: 0,
-            pending_lfn: None,
             recovery_rng: root.fork("recovery"),
             selection_mode: self.selection_mode,
             timeline: None,
@@ -656,8 +644,6 @@ pub struct DataGrid {
     trace: NetworkTrace,
     obs: Recorder,
     next_span_id: u64,
-    /// Logical file served by the transfer in flight, for span labelling.
-    pending_lfn: Option<String>,
     /// Jitter source for retry backoff, forked from the grid seed.
     recovery_rng: SimRng,
     /// How `BW_P` is obtained during candidate scoring.
@@ -1050,7 +1036,10 @@ impl DataGrid {
     ///
     /// # Errors
     ///
-    /// [`GridError::Transfer`] for invalid requests.
+    /// [`GridError::Transfer`] for invalid requests, or wrapping
+    /// [`TransferError::RetriesExhausted`] when the transfer stalls (the
+    /// plain calls watch for stalls like the recovering ones but make a
+    /// single attempt).
     pub fn transfer_between(
         &mut self,
         src: HostId,
@@ -1079,152 +1068,7 @@ impl DataGrid {
         req: TransferRequest,
         recovery: &RecoveryOptions,
     ) -> Result<RecoveredTransfer, GridError> {
-        match self.run_recovery_transfer(src, dst, req, recovery)? {
-            ReplicaEpisode::Completed(rec) => Ok(rec),
-            ReplicaEpisode::Abandoned {
-                attempts,
-                delivered,
-                ..
-            } => Err(GridError::Transfer(TransferError::RetriesExhausted {
-                attempts,
-                delivered,
-            })),
-        }
-    }
-
-    /// One replica's full retry episode: attempts until completion or
-    /// exhaustion, with the per-episode totals kept either way so callers
-    /// (failover) can account for abandoned work.
-    fn run_recovery_transfer(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        req: TransferRequest,
-        recovery: &RecoveryOptions,
-    ) -> Result<ReplicaEpisode, GridError> {
-        req.validate().map_err(GridError::Transfer)?;
-        let base_offset = req.range.map_or(0, |r| r.offset);
-        let total = req.payload_bytes();
-        let protocol = protocol_label(req.protocol);
-        let src_name = self.hosts[src.index()].name().to_string();
-        let dst_name = self.hosts[dst.index()].name().to_string();
-        let cache_key = (self.node_of(dst), self.node_of(src));
-        let tcp = self.tcp_for(self.node_of(src), self.node_of(dst));
-        let mut committed = 0u64;
-        let mut attempts = 0u32;
-        let mut resumed_from = Vec::new();
-        let mut payload_moved = 0u64;
-        let mut backoff_total = SimDuration::ZERO;
-        let mut caps = Vec::new();
-        loop {
-            let attempt_req = if committed == 0 {
-                req
-            } else {
-                req.with_range(base_offset + committed, total - committed)
-            };
-            let base = self.alloc_session_tokens();
-            let cached = self.control_cached(cache_key);
-            let mut session = TransferSession::new(
-                attempt_req,
-                self.endpoint_for(src),
-                self.endpoint_for(dst),
-                tcp,
-                base,
-            )?
-            .with_costs(self.costs)
-            .with_cached_control(cached)
-            .with_stall_timeout(recovery.stall_timeout);
-            attempts += 1;
-            session.start(&mut self.sim);
-            let failure = loop {
-                let ev = self
-                    .sim
-                    .next_event()
-                    .expect("an active session keeps the queue non-empty");
-                if session.owns(&ev) {
-                    match session.handle(&mut self.sim, &ev) {
-                        SessionStatus::Complete(outcome) => {
-                            self.remember_control(cache_key);
-                            payload_moved += outcome.payload_bytes;
-                            self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-                            return Ok(ReplicaEpisode::Completed(RecoveredTransfer {
-                                outcome,
-                                attempts,
-                                resumed_from,
-                                payload_moved,
-                                backoff_total,
-                            }));
-                        }
-                        SessionStatus::Failed(failure) => break failure,
-                        SessionStatus::InProgress => {}
-                    }
-                } else {
-                    let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-                    self.handle_internal(&ev);
-                    if monitor_tick {
-                        let fresh = [self.endpoint_for(src)];
-                        let dst_fresh = self.endpoint_for(dst);
-                        caps.clear();
-                        session.refresh_endpoints(&self.sim, &fresh, dst_fresh, &mut caps);
-                        self.sim.set_flow_caps(&caps);
-                    }
-                }
-            };
-            committed += failure.restart_offset();
-            payload_moved += failure.delivered_payload;
-            self.obs.metrics_mut().inc("transfer.stalls");
-            self.obs.emit(
-                Event::new(failure.at, "gridftp", "transfer.stall")
-                    .with("src", src_name.as_str())
-                    .with("dst", dst_name.as_str())
-                    .with("attempt", attempts)
-                    .with("delivered", failure.delivered_payload)
-                    .with("committed", committed)
-                    .with("resumable", failure.resumable),
-            );
-            if recovery.retry.exhausted(attempts) {
-                self.obs.metrics_mut().inc("transfer.abandoned");
-                self.obs.emit(
-                    Event::new(self.sim.now(), "gridftp", "transfer.abandoned")
-                        .with("src", src_name.as_str())
-                        .with("dst", dst_name.as_str())
-                        .with("attempts", attempts)
-                        .with("delivered", committed),
-                );
-                return Ok(ReplicaEpisode::Abandoned {
-                    attempts,
-                    delivered: committed,
-                    payload_moved,
-                    backoff_total,
-                });
-            }
-            let pause = recovery.retry.backoff(attempts - 1, &mut self.recovery_rng);
-            backoff_total += pause;
-            // The wait token sits in the session range, so a stale firing
-            // after this loop exits is ignored by `handle_internal`.
-            let wait_token = self.alloc_session_tokens();
-            self.sim.schedule_timer_after(pause, wait_token);
-            loop {
-                let ev = self
-                    .sim
-                    .next_event()
-                    .expect("backoff timer keeps the queue non-empty");
-                if ev.kind == EventKind::TimerFired(wait_token) {
-                    break;
-                }
-                self.handle_internal(&ev);
-            }
-            resumed_from.push(committed);
-            self.obs.metrics_mut().inc("transfer.retries");
-            self.obs.emit(
-                Event::new(self.sim.now(), "gridftp", "transfer.retry")
-                    .with("src", src_name.as_str())
-                    .with("dst", dst_name.as_str())
-                    .with("attempt", attempts + 1)
-                    .with("backoff_secs", pause.as_secs_f64())
-                    .with("resume_offset", committed),
-            );
-        }
+        self.copy_one(&[src], dst, None, req, recovery)
     }
 
     /// Runs a striped transfer from several stripe servers to one
@@ -1233,62 +1077,17 @@ impl DataGrid {
     ///
     /// # Errors
     ///
-    /// [`GridError::Transfer`] for invalid requests or an empty source
-    /// list.
+    /// As [`DataGrid::transfer_between`], plus [`GridError::Transfer`]
+    /// for an empty source list.
     pub fn striped_transfer_between(
         &mut self,
         sources: &[HostId],
         dst: HostId,
         req: TransferRequest,
     ) -> Result<TransferOutcome, GridError> {
-        let endpoints: Vec<TransferEndpoint> =
-            sources.iter().map(|&s| self.endpoint_for(s)).collect();
-        let first = sources.first().ok_or_else(|| {
-            GridError::Transfer(datagrid_gridftp::TransferError::InvalidRequest {
-                reason: "a transfer needs at least one source".into(),
-            })
-        })?;
-        let tcp = self.tcp_for(self.node_of(*first), self.node_of(dst));
-        let base = self.alloc_session_tokens();
-        let cache_key = (self.node_of(dst), self.node_of(*first));
-        let cached = sources.len() == 1 && self.control_cached(cache_key);
-        let protocol = protocol_label(req.protocol);
-        let src_name = self.hosts[first.index()].name().to_string();
-        let dst_name = self.hosts[dst.index()].name().to_string();
-        let mut session =
-            TransferSession::striped(req, endpoints, self.endpoint_for(dst), tcp, base)?
-                .with_costs(self.costs)
-                .with_cached_control(cached);
-        session.start(&mut self.sim);
-        let mut caps = Vec::new();
-        loop {
-            let ev = self
-                .sim
-                .next_event()
-                .expect("an active session keeps the queue non-empty");
-            if session.owns(&ev) {
-                if let SessionStatus::Complete(outcome) = session.handle(&mut self.sim, &ev) {
-                    self.remember_control(cache_key);
-                    self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-                    return Ok(outcome);
-                }
-            } else {
-                let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-                self.handle_internal(&ev);
-                if monitor_tick {
-                    // Host loads just advanced: propagate the fresh disk and
-                    // CPU limits into the running transfer, so a transfer
-                    // started against a momentarily saturated host recovers
-                    // as the load subsides (and vice versa).
-                    let fresh: Vec<TransferEndpoint> =
-                        sources.iter().map(|&s| self.endpoint_for(s)).collect();
-                    let dst_fresh = self.endpoint_for(dst);
-                    caps.clear();
-                    session.refresh_endpoints(&self.sim, &fresh, dst_fresh, &mut caps);
-                    self.sim.set_flow_caps(&caps);
-                }
-            }
-        }
+        Ok(self
+            .copy_one(sources, dst, None, req, &plain_recovery())?
+            .outcome)
     }
 
     /// `true` if an authenticated control connection for `key` is cached
@@ -1318,7 +1117,7 @@ impl DataGrid {
     ///
     /// # Errors
     ///
-    /// [`GridError::Transfer`] for invalid requests.
+    /// As [`DataGrid::transfer_between`].
     pub fn third_party_transfer(
         &mut self,
         client: HostId,
@@ -1326,44 +1125,9 @@ impl DataGrid {
         dst: HostId,
         req: TransferRequest,
     ) -> Result<TransferOutcome, GridError> {
-        let tcp = self.tcp_for(self.node_of(src), self.node_of(dst));
-        let base = self.alloc_session_tokens();
-        let protocol = protocol_label(req.protocol);
-        let src_name = self.hosts[src.index()].name().to_string();
-        let dst_name = self.hosts[dst.index()].name().to_string();
-        let mut session = TransferSession::new(
-            req,
-            self.endpoint_for(src),
-            self.endpoint_for(dst),
-            tcp,
-            base,
-        )?
-        .with_costs(self.costs)
-        .with_control_from(self.node_of(client));
-        session.start(&mut self.sim);
-        let mut caps = Vec::new();
-        loop {
-            let ev = self
-                .sim
-                .next_event()
-                .expect("an active session keeps the queue non-empty");
-            if session.owns(&ev) {
-                if let SessionStatus::Complete(outcome) = session.handle(&mut self.sim, &ev) {
-                    self.record_transfer(&src_name, &dst_name, protocol, &outcome);
-                    return Ok(outcome);
-                }
-            } else {
-                let monitor_tick = matches!(ev.kind, EventKind::TimerFired(TOK_MONITOR));
-                self.handle_internal(&ev);
-                if monitor_tick {
-                    let fresh = [self.endpoint_for(src)];
-                    let dst_fresh = self.endpoint_for(dst);
-                    caps.clear();
-                    session.refresh_endpoints(&self.sim, &fresh, dst_fresh, &mut caps);
-                    self.sim.set_flow_caps(&caps);
-                }
-            }
-        }
+        Ok(self
+            .copy_one(&[src], dst, Some(client), req, &plain_recovery())?
+            .outcome)
     }
 
     /// Creates a new physical replica of `lfn` on `dst_host` by copying
@@ -1539,32 +1303,19 @@ impl DataGrid {
     /// # Errors
     ///
     /// Catalog errors, [`GridError::NoReplicas`],
-    /// [`GridError::ReplicaOffGrid`] or transfer errors.
+    /// [`GridError::ReplicaOffGrid`], transfer errors, or
+    /// [`GridError::AllReplicasFailed`] when the chosen replica stalls
+    /// (the plain calls watch for stalls but make a single attempt and
+    /// never fail over).
     pub fn fetch_with(
         &mut self,
         client: HostId,
         lfn: &str,
         options: FetchOptions,
     ) -> Result<FetchReport, GridError> {
-        let started = self.sim.now();
-        // Catalog + selection server round trips.
-        let latency = self.service_latency(client);
-        self.advance_to(started + latency);
-        let candidates = self.score_candidates(client, lfn)?;
-        let chosen = self.selector.choose(&candidates);
-        let decision_latency = self.sim.now() - started;
-        self.record_selection(lfn, client, &candidates, chosen, decision_latency, None);
-        let transfer = self.execute_choice(client, lfn, &candidates[chosen], options)?;
-        self.attach_measured(&candidates[chosen].host_name, &transfer);
-        Ok(FetchReport {
-            lfn: LogicalFileName::new(lfn)?,
-            client: self.hosts[client.index()].name().to_string(),
-            local_hit: candidates[chosen].is_local,
-            candidates: candidates.clone(),
-            chosen,
-            transfer,
-            decision_latency,
-        })
+        Ok(self
+            .fetch_one(client, lfn, options, &plain_recovery(), None)?
+            .report)
     }
 
     /// Like [`DataGrid::fetch_with`] but forcing the replica on
@@ -1583,36 +1334,9 @@ impl DataGrid {
         from_host: &str,
         options: FetchOptions,
     ) -> Result<FetchReport, GridError> {
-        let started = self.sim.now();
-        let latency = self.service_latency(client);
-        self.advance_to(started + latency);
-        let candidates = self.score_candidates(client, lfn)?;
-        let chosen = candidates
-            .iter()
-            .position(|c| c.host_name == from_host)
-            .ok_or_else(|| GridError::UnknownHost {
-                name: from_host.to_string(),
-            })?;
-        let decision_latency = self.sim.now() - started;
-        self.record_selection(
-            lfn,
-            client,
-            &candidates,
-            chosen,
-            decision_latency,
-            Some("forced"),
-        );
-        let transfer = self.execute_choice(client, lfn, &candidates[chosen], options)?;
-        self.attach_measured(&candidates[chosen].host_name, &transfer);
-        Ok(FetchReport {
-            lfn: LogicalFileName::new(lfn)?,
-            client: self.hosts[client.index()].name().to_string(),
-            local_hit: candidates[chosen].is_local,
-            candidates: candidates.clone(),
-            chosen,
-            transfer,
-            decision_latency,
-        })
+        Ok(self
+            .fetch_one(client, lfn, options, &plain_recovery(), Some(from_host))?
+            .report)
     }
 
     /// The paper's Fig. 1 scenario hardened for faulty grids: catalog
@@ -1637,95 +1361,7 @@ impl DataGrid {
         options: FetchOptions,
         recovery: &RecoveryOptions,
     ) -> Result<RecoveredFetch, GridError> {
-        let started = self.sim.now();
-        let latency = self.service_latency(client);
-        self.advance_to(started + latency);
-        let mut candidates = self.score_candidates(client, lfn)?;
-        let mut chosen = self.selector.choose(&candidates);
-        let mut decision_latency = self.sim.now() - started;
-        self.record_selection(lfn, client, &candidates, chosen, decision_latency, None);
-        let mut failed_over: Vec<String> = Vec::new();
-        let mut attempts = 0u32;
-        let mut payload_moved = 0u64;
-        let mut backoff_total = SimDuration::ZERO;
-        loop {
-            let choice = candidates[chosen].clone();
-            match self.execute_choice_with_recovery(client, lfn, &choice, options, recovery)? {
-                ReplicaEpisode::Completed(rec) => {
-                    attempts += rec.attempts;
-                    payload_moved += rec.payload_moved;
-                    backoff_total += rec.backoff_total;
-                    self.attach_measured(&choice.host_name, &rec.outcome);
-                    return Ok(RecoveredFetch {
-                        report: FetchReport {
-                            lfn: LogicalFileName::new(lfn)?,
-                            client: self.hosts[client.index()].name().to_string(),
-                            local_hit: choice.is_local,
-                            candidates,
-                            chosen,
-                            transfer: rec.outcome,
-                            decision_latency,
-                        },
-                        failed_over,
-                        attempts,
-                        payload_moved,
-                        backoff_total,
-                    });
-                }
-                ReplicaEpisode::Abandoned {
-                    attempts: used,
-                    delivered,
-                    payload_moved: moved,
-                    backoff_total: waited,
-                } => {
-                    attempts += used;
-                    payload_moved += moved;
-                    backoff_total += waited;
-                    self.catalog.mark_suspect(&choice.location);
-                    self.invalidate_scores();
-                    self.obs.metrics_mut().inc("selection.failovers");
-                    self.obs.emit(
-                        Event::new(self.sim.now(), "select", "selection.failover")
-                            .with("lfn", lfn)
-                            .with("abandoned", choice.host_name.as_str())
-                            .with("attempts", used)
-                            .with("delivered", delivered),
-                    );
-                    failed_over.push(choice.host_name.clone());
-                    if failed_over.len() as u64 > u64::from(recovery.max_failovers) {
-                        return Err(GridError::AllReplicasFailed {
-                            lfn: lfn.to_string(),
-                            failed: failed_over,
-                        });
-                    }
-                    // Re-rank: the suspect mark pushes the failed site down,
-                    // and fresh monitoring data may have reshuffled the rest.
-                    let t0 = self.sim.now();
-                    let latency = self.service_latency(client);
-                    self.advance_to(t0 + latency);
-                    candidates = self.score_candidates(client, lfn)?;
-                    decision_latency += self.sim.now() - t0;
-                    let Some(next) = candidates
-                        .iter()
-                        .position(|c| !failed_over.contains(&c.host_name))
-                    else {
-                        return Err(GridError::AllReplicasFailed {
-                            lfn: lfn.to_string(),
-                            failed: failed_over,
-                        });
-                    };
-                    chosen = next;
-                    self.record_selection(
-                        lfn,
-                        client,
-                        &candidates,
-                        chosen,
-                        self.sim.now() - t0,
-                        Some("failover"),
-                    );
-                }
-            }
-        }
+        self.fetch_one(client, lfn, options, recovery, None)
     }
 
     /// Suggests a parallel stream count for transfers from `src` to `dst`:
@@ -1766,90 +1402,6 @@ impl DataGrid {
     // ------------------------------------------------------------------
     // internals
     // ------------------------------------------------------------------
-
-    fn execute_choice(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        choice: &CandidateScore,
-        options: FetchOptions,
-    ) -> Result<TransferOutcome, GridError> {
-        let name = LogicalFileName::new(lfn)?;
-        let bytes = self
-            .catalog
-            .lookup(&name)
-            .expect("scored candidates imply a registered file")
-            .entry()
-            .size_bytes();
-        self.pending_lfn = Some(lfn.to_string());
-        if choice.is_local {
-            return Ok(self.local_read(client, bytes));
-        }
-        let req = TransferRequest::new(bytes)
-            .with_protocol(options.protocol)
-            .with_parallelism(options.parallelism)
-            .with_protection(options.protection);
-        self.transfer_between(choice.host, client, req)
-    }
-
-    fn execute_choice_with_recovery(
-        &mut self,
-        client: HostId,
-        lfn: &str,
-        choice: &CandidateScore,
-        options: FetchOptions,
-        recovery: &RecoveryOptions,
-    ) -> Result<ReplicaEpisode, GridError> {
-        let name = LogicalFileName::new(lfn)?;
-        let bytes = self
-            .catalog
-            .lookup(&name)
-            .expect("scored candidates imply a registered file")
-            .entry()
-            .size_bytes();
-        self.pending_lfn = Some(lfn.to_string());
-        if choice.is_local {
-            let outcome = self.local_read(client, bytes);
-            let payload_moved = outcome.payload_bytes;
-            return Ok(ReplicaEpisode::Completed(RecoveredTransfer {
-                outcome,
-                attempts: 1,
-                resumed_from: Vec::new(),
-                payload_moved,
-                backoff_total: SimDuration::ZERO,
-            }));
-        }
-        let req = TransferRequest::new(bytes)
-            .with_protocol(options.protocol)
-            .with_parallelism(options.parallelism)
-            .with_protection(options.protection);
-        self.run_recovery_transfer(choice.host, client, req, recovery)
-    }
-
-    /// A local disk read, synthesised as a one-phase outcome.
-    fn local_read(&mut self, client: HostId, bytes: u64) -> TransferOutcome {
-        let start = self.sim.now();
-        let rate = self.hosts[client.index()].available_disk_read();
-        let duration = rate.time_for_bytes(bytes);
-        self.advance_to(start + duration);
-        let end = self.sim.now();
-        let outcome = TransferOutcome {
-            payload_bytes: bytes,
-            wire_bytes: 0,
-            streams: 0,
-            stripes: 0,
-            started: start,
-            finished: end,
-            phases: vec![PhaseRecord {
-                name: "data",
-                start,
-                end,
-            }],
-        };
-        let name = self.hosts[client.index()].name().to_string();
-        self.record_transfer(&name, &name, "local", &outcome);
-        outcome
-    }
 
     /// Catalog and selection server query latency for a client: two round
     /// trips to the catalog node plus processing.
@@ -2011,32 +1563,10 @@ impl DataGrid {
         });
     }
 
-    /// Attaches the measured transfer time of `host` to the most recent
-    /// audit entry, feeding the rank-vs-measured-time agreement check.
-    fn attach_measured(&mut self, host: &str, outcome: &TransferOutcome) {
-        let secs = outcome.duration().as_secs_f64();
-        if let Some(decision) = self.obs.audit_mut().last_mut() {
-            decision.attach_measured(host, secs);
-        }
-    }
-
     /// Records one finished transfer: span events, latency/byte/stream
     /// metrics and per-phase timing histograms. `protocol` is a stable
-    /// label (`"gridftp"`, `"ftp"`, `"local"`).
-    fn record_transfer(
-        &mut self,
-        src: &str,
-        dst: &str,
-        protocol: &'static str,
-        outcome: &TransferOutcome,
-    ) {
-        let lfn = self.pending_lfn.take();
-        self.record_transfer_for(src, dst, protocol, outcome, lfn.as_deref());
-    }
-
-    /// [`DataGrid::record_transfer`] with the logical file passed
-    /// explicitly, so hot callers (the replay driver) can borrow it from
-    /// their own state instead of cloning into `pending_lfn`.
+    /// label (`"gridftp"`, `"ftp"`, `"local"`); `lfn` labels the span of a
+    /// fetch.
     pub(crate) fn record_transfer_for(
         &mut self,
         src: &str,
@@ -2103,10 +1633,6 @@ impl DataGrid {
     fn handle_internal(&mut self, ev: &SimEvent) {
         match &ev.kind {
             EventKind::TimerFired(TOK_MONITOR) => self.on_monitor_tick(),
-            EventKind::TimerFired(TOK_SENTINEL) => {
-                // A sentinel from an outer advance_to that was overtaken by
-                // a nested loop; nothing to do.
-            }
             EventKind::TimerFired(tok)
                 if (TOK_PROBE_BASE..TOK_PROBE_BASE + self.monitored.len() as u64).contains(tok) =>
             {
@@ -3030,5 +2556,82 @@ mod scratch_tests {
             fast_before.score,
             fast_after.score
         );
+    }
+}
+
+/// [`DataGrid::transfer_between_with_recovery`] on a bare two-host grid:
+/// the retry episode's failure paths. (Resume, restart-from-zero,
+/// determinism and the clean path are covered at grid level by
+/// `tests/faults.rs`, `tests/determinism.rs` and `recovery_grid_tests`.)
+#[cfg(test)]
+mod transfer_recovery_tests {
+    use super::*;
+    use datagrid_gridftp::retry::RetryPolicy;
+    use datagrid_gridftp::TransferError;
+    use datagrid_simnet::topology::{Bandwidth, LinkSpec};
+
+    const MB: u64 = 1 << 20;
+
+    /// a --80Mbps-- b (64 MiB take ~6.7 s), plus the a->b link id.
+    fn net() -> (DataGrid, HostId, HostId, LinkId) {
+        let mut b = GridBuilder::new(7);
+        let idle = || LoadModel::Constant(0.0);
+        let a = b.add_host(HostSpec::new("a"), idle(), idle());
+        let z = b.add_host(HostSpec::new("b"), idle(), idle());
+        let link = LinkSpec::new(Bandwidth::from_mbps(80.0), SimDuration::from_millis(5));
+        let (fwd, _) = b.topology_mut().add_duplex_link(a, z, link);
+        let grid = b.build();
+        let (src, dst) = (grid.host_id("a").unwrap(), grid.host_id("b").unwrap());
+        (grid, src, dst, fwd)
+    }
+
+    fn recovery(max_attempts: u32) -> RecoveryOptions {
+        let retry = RetryPolicy::default()
+            .with_max_attempts(max_attempts)
+            .with_base_backoff(SimDuration::from_secs(2))
+            .with_jitter(0.0);
+        RecoveryOptions::default()
+            .with_retry(retry)
+            .with_stall_timeout(SimDuration::from_secs(1))
+    }
+
+    #[test]
+    fn permanent_outage_exhausts_retries() {
+        let (mut grid, a, b, fwd) = net();
+        let at = SimTime::from_secs_f64(2.0);
+        grid.install_fault_plan(FaultPlan::new().link_down(
+            at,
+            SimDuration::from_secs(100_000),
+            fwd,
+        ));
+        let req = TransferRequest::new(64 * MB).with_parallelism(4);
+        let err = grid
+            .transfer_between_with_recovery(a, b, req, &recovery(2))
+            .unwrap_err();
+        let GridError::Transfer(TransferError::RetriesExhausted {
+            attempts,
+            delivered,
+        }) = err
+        else {
+            panic!("unexpected error {err}");
+        };
+        assert_eq!(attempts, 2);
+        assert!(delivered > 0, "first attempt committed a prefix");
+        assert!(delivered < 64 * MB);
+        assert_eq!(grid.network().flow_count_by_tag(FlowTag::User), 0);
+    }
+
+    #[test]
+    fn connection_drop_is_detected_and_retried() {
+        let (mut grid, a, b, _) = net();
+        let at = SimTime::from_secs_f64(2.0);
+        grid.install_fault_plan(FaultPlan::new().connection_drop(at, grid.node_of(b)));
+        // The drop at 2 s lands mid-data.
+        let req = TransferRequest::new(64 * MB).with_parallelism(2);
+        let rec = grid
+            .transfer_between_with_recovery(a, b, req, &recovery(4))
+            .expect("recovers");
+        assert!(rec.attempts >= 2, "drop must force a retry");
+        assert!(rec.payload_moved >= 64 * MB);
     }
 }

@@ -1,11 +1,15 @@
-//! Exhaustive model checking of the replay fetch state machine.
+//! Exhaustive model checking of the fetch state machine.
 //!
-//! [`replay`](super::replay) drives every job through the phases
+//! [`replay`](super::replay) is the grid's only fetch state machine. It
+//! drives every job through the phases
 //! `Arrival → Deciding → {LocalRead | Transferring}`, with `Backoff`
 //! between retry attempts and suspect-mark/next-best failover between
-//! replicas. The concurrent driver interleaves many such machines over one
-//! simulator, which makes its guarantees ("a replay never hangs and never
-//! leaks flows") hard to see by reading any single trace.
+//! replicas. A workload replay interleaves many such machines over one
+//! simulator; every blocking fetch ([`DataGrid::fetch_with`],
+//! [`DataGrid::fetch_from`], [`DataGrid::fetch_with_recovery`]) runs one
+//! of them, entering at `Deciding`. Interleaving makes the driver's
+//! guarantees ("a fetch never hangs and never leaks flows") hard to see
+//! by reading any single trace.
 //!
 //! This module restates one job's machine as an explicit transition
 //! system, abstracting the *timing* nondeterminism away and keeping the
@@ -27,11 +31,17 @@
 //!
 //! The per-phase transition rules are written to mirror
 //! `Driver::{on_control, decide, start_attempt, on_session_event,
-//! abandon_replica}` line for line; the integration suite closes the loop
-//! by replaying exhaustive small-grid configurations (≤3 clients × ≤3
-//! replicas, with and without faults) through the real driver and checking
-//! that every concrete trace lands in a state this model declares
+//! abandon_replica}` line for line. Two integration suites close the
+//! loop through the real driver: `tests/modelcheck.rs` replays exhaustive
+//! small-grid configurations (≤3 clients × ≤3 replicas, with and without
+//! faults), and `tests/modelcheck_blocking.rs` fetches the same
+//! configurations with the blocking `fetch_with_recovery`. Both check
+//! that every concrete outcome lands in a state this model declares
 //! reachable and terminal.
+//!
+//! [`DataGrid::fetch_with`]: super::DataGrid::fetch_with
+//! [`DataGrid::fetch_from`]: super::DataGrid::fetch_from
+//! [`DataGrid::fetch_with_recovery`]: super::DataGrid::fetch_with_recovery
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;

@@ -54,8 +54,7 @@ pub mod transfer;
 
 pub use error::TransferError;
 pub use executor::{
-    run_transfer, run_transfer_with_recovery, RecoveredTransfer, TransferEndpoint, TransferFailure,
-    TransferSession,
+    run_transfer, RecoveredTransfer, TransferEndpoint, TransferFailure, TransferSession,
 };
 pub use mode::TransferMode;
 pub use retry::RetryPolicy;
@@ -65,8 +64,8 @@ pub use transfer::{DataChannelProtection, Protocol, TransferOutcome, TransferReq
 pub mod prelude {
     pub use crate::error::TransferError;
     pub use crate::executor::{
-        run_transfer, run_transfer_with_recovery, RecoveredTransfer, SessionStatus,
-        TransferEndpoint, TransferFailure, TransferSession,
+        run_transfer, RecoveredTransfer, SessionStatus, TransferEndpoint, TransferFailure,
+        TransferSession,
     };
     pub use crate::gsi::GsiConfig;
     pub use crate::instrument::{protocol_label, span_from_outcome};
