@@ -1,6 +1,11 @@
 //! Criterion bench for the Fig. 3 experiment: how fast the simulator
 //! reproduces one FTP vs GridFTP transfer cell.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "benchmark harness; outside library scope"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagrid_bench::{warmed_paper_grid, MB};
 use datagrid_gridftp::transfer::{Protocol, TransferRequest};

@@ -1,6 +1,11 @@
 //! Criterion bench for the Fig. 4 experiment: simulating parallel-stream
 //! transfers over the lossy 30 Mbps path.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "benchmark harness; outside library scope"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagrid_bench::{warmed_paper_grid, MB};
 use datagrid_gridftp::transfer::TransferRequest;

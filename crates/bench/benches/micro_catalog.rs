@@ -1,5 +1,10 @@
 //! Criterion micro-benchmarks of the replica catalog.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "benchmark harness; outside library scope"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagrid_catalog::ReplicaCatalog;
 use std::hint::black_box;

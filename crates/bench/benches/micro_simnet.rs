@@ -1,5 +1,10 @@
 //! Criterion micro-benchmarks of the network simulator core.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "benchmark harness; outside library scope"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagrid_simnet::flow::{max_min_allocation, FlowDemand};
 use datagrid_simnet::prelude::*;

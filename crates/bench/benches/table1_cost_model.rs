@@ -1,6 +1,11 @@
 //! Criterion bench for the Table 1 scenario: factor gathering, scoring
 //! and the full Fig. 1 fetch.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "benchmark harness; outside library scope"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagrid_bench::{warmed_paper_grid, MB};
 use datagrid_simnet::time::SimDuration;

@@ -6,6 +6,12 @@
 //! cumulative error on the volatile Li-Zen path and the stable HIT path,
 //! plus which member the dynamic selection currently trusts.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, warmed_paper_grid};
 use datagrid_simnet::time::SimDuration;
 use datagrid_testbed::experiment::TextTable;

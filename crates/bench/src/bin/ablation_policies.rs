@@ -6,6 +6,12 @@
 //! monitoring-free baselines (random, round-robin) and the network-blind
 //! least-loaded policy.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, slug, warmed_paper_grid, MB};
 use datagrid_core::grid::FetchOptions;
 use datagrid_core::policy::SelectionPolicy;

@@ -7,6 +7,12 @@
 //! [`datagrid_core::replication`] and reports mean fetch time, the local
 //! hit rate and how many replica copies were created (the storage price).
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, slug, warmed_paper_grid, MB};
 use datagrid_core::grid::FetchOptions;
 use datagrid_core::replication::{ReplicationManager, ReplicationStrategy};

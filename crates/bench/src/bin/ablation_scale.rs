@@ -11,6 +11,12 @@
 //! tuned weights recover the accuracy the paper's fixed 0.8/0.1/0.1 loses
 //! on grids whose BW_P values are crushed by the global normalisation.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, slug, MB};
 use datagrid_core::cost::CostModel;
 use datagrid_core::grid::{FetchOptions, GridBuilder};

@@ -8,6 +8,12 @@
 //! integrity protection (`PROT S`) and full privacy (`PROT P`), from a
 //! CPU-modest HIT server and from the dual-CPU THU server.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, slug, warmed_paper_grid, MB};
 use datagrid_gridftp::transfer::{DataChannelProtection, Protocol, TransferRequest};
 use datagrid_simnet::time::SimDuration;

@@ -7,6 +7,12 @@
 //! multiply aggregate bandwidth while per-stream TCP is the bottleneck,
 //! then flatten once the shared HIT uplink saturates.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, warmed_paper_grid, MB};
 use datagrid_gridftp::transfer::TransferRequest;
 use datagrid_simnet::time::SimDuration;

@@ -7,6 +7,12 @@
 //! Expected shape: bandwidth-dominant weights (like the paper's 0.8/0.1/
 //! 0.1) maximise accuracy; ignoring bandwidth entirely is much worse.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, warmed_paper_grid, MB};
 use datagrid_core::cost::{CostModel, Weights};
 use datagrid_core::grid::FetchOptions;

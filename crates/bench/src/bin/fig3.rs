@@ -6,6 +6,12 @@
 //! protocols track each other, GridFTP paying a small constant GSI
 //! authentication overhead that vanishes in relative terms as files grow.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{
     banner, emit_observability, seed_from_args, warmed_paper_grid, MB, PAPER_SIZES_MB,
 };

@@ -7,6 +7,12 @@
 //! so for large files, with diminishing returns at high stream counts; one
 //! MODE E stream is *not* identical to stream mode (block framing).
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{
     banner, emit_observability, seed_from_args, warmed_paper_grid, MB, PAPER_SIZES_MB,
 };

@@ -5,6 +5,12 @@
 //! selectable time scale (Fig. 5b's scroll bar), and sorts sites on the
 //! *Cost* button. This binary renders the same three views as text.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, warmed_paper_grid, MB};
 use datagrid_core::history::CostHistory;
 use datagrid_simnet::time::SimDuration;

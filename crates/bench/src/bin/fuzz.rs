@@ -28,6 +28,12 @@
 //! (`DATAGRID_JOBS` controls the worker count); output is byte-identical
 //! for any value.
 
+#![allow(
+    clippy::print_stderr,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::DEFAULT_SEED;
 use datagrid_testbed::fuzz::{check_scenario, render_divergence_report, shrink, FuzzSpec};
 use datagrid_testbed::par::par_map;

@@ -24,6 +24,13 @@
 //! is enforced as it happens and the settled post-replay allocation is
 //! re-verified. Slower, never changes the emitted numbers.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stderr,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, seed_from_args, OBS_DIR_ENV};
 use datagrid_core::prelude::SelectionMode;
 use datagrid_testbed::experiment::TextTable;

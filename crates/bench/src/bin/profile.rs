@@ -26,6 +26,15 @@
 //! `--verify` enforces the max-min certificate on every solve. The grid
 //! health report of the largest cell is printed after the phase tables.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::expect_used,
+    clippy::print_stderr,
+    clippy::print_stdout,
+    unsafe_code,
+    reason = "console bin with a counting GlobalAlloc; outside library scope"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -23,6 +23,14 @@
 //! peak-population [`NetSim::verify_allocation`] check per figure (wall
 //! times are then not comparable to unverified runs).
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::print_stderr,
+    clippy::print_stdout,
+    reason = "console bin timing itself; outside library scope"
+)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -10,6 +10,12 @@
 //! counterfactual replay on cloned grids). Expected shape: score order ==
 //! speed order, alpha4 best, lz02 worst.
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, warmed_paper_grid, MB};
 use datagrid_core::grid::FetchOptions;
 use datagrid_simnet::time::SimDuration;

@@ -9,6 +9,12 @@
 //! recorded through the observability layer (`DATAGRID_OBS_DIR` dumps
 //! `table1_fault.*`).
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "console bin; outside library scope"
+)]
+
 use datagrid_bench::{banner, emit_observability, seed_from_args, warmed_paper_grid, MB};
 use datagrid_core::grid::FetchOptions;
 use datagrid_core::recovery::RecoveryOptions;

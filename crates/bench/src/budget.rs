@@ -43,6 +43,10 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
 /// their `"clients"` field. Cell objects in our reports are `{...}`
 /// blocks with no nested objects except the `phases` array, so scanning
 /// for balanced braces is sufficient.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "JSON numbers parse as f64; a client count is a small whole number"
+)]
 fn cells(json: &str) -> Result<Vec<Chunk>, String> {
     let start = json
         .find("\"cells\":")

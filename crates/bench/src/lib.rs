@@ -25,6 +25,11 @@
 //! serial path, any value the worker count — output is byte-identical
 //! either way.
 
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the bench crate is the reproducers' console front end: its report helpers print"
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -168,6 +173,10 @@ pub fn slug(s: &str) -> String {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

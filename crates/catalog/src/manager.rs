@@ -7,6 +7,11 @@
 //! implements with the simulated GridFTP executor (and tests implement
 //! with an in-memory mock).
 
+#![expect(
+    clippy::expect_used,
+    reason = "restore of a replica removed in the same call cannot fail"
+)]
+
 use std::error::Error;
 use std::fmt;
 

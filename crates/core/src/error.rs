@@ -37,6 +37,14 @@ pub enum GridError {
         /// Replicas abandoned after their retries were exhausted.
         failed: Vec<String>,
     },
+    /// No route joins two nodes of the topology: the client cannot reach
+    /// the catalog host, or a replica cannot reach the client.
+    Unroutable {
+        /// The node the traffic would leave from.
+        from: String,
+        /// The node it would have to reach.
+        to: String,
+    },
 }
 
 impl fmt::Display for GridError {
@@ -58,6 +66,7 @@ impl fmt::Display for GridError {
                     failed.join(", ")
                 )
             }
+            GridError::Unroutable { from, to } => write!(f, "no route from {from} to {to}"),
         }
     }
 }
@@ -67,7 +76,11 @@ impl Error for GridError {
         match self {
             GridError::Catalog(e) => Some(e),
             GridError::Transfer(e) => Some(e),
-            _ => None,
+            GridError::UnknownHost { .. }
+            | GridError::NoReplicas { .. }
+            | GridError::ReplicaOffGrid { .. }
+            | GridError::AllReplicasFailed { .. }
+            | GridError::Unroutable { .. } => None,
         }
     }
 }

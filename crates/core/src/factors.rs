@@ -8,6 +8,11 @@
 //! * `CPU_P` — the replica host's CPU idle percentage (from MDS),
 //! * `IO_P` — the replica host's I/O idle percentage (from sysstat).
 
+#![expect(
+    clippy::expect_used,
+    reason = "candidate scores are finite by construction of the cost model"
+)]
+
 use datagrid_sysmon::host::HostId;
 
 use datagrid_catalog::PhysicalFileName;
@@ -82,6 +87,10 @@ pub fn rank_by_score(candidates: &mut [CandidateScore]) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

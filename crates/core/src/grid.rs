@@ -16,6 +16,15 @@
 //! sampling, MDS refresh, NWS bandwidth probes) runs on a fixed interval
 //! whenever the grid advances, including *during* transfers.
 
+#![expect(
+    clippy::panic,
+    reason = "orphan timer/flow panics guard routes no caller can produce (a failed driver run tears down its sessions); the builder and suggested_parallelism panic on unroutable pairs as documented # Panics contracts"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "advance_to's own sentinel timer keeps the queue non-empty (no fetch nests inside it any more); host, link and MDS lookups are construction invariants"
+)]
+
 pub mod modelcheck;
 pub mod replay;
 
@@ -43,7 +52,7 @@ use datagrid_simnet::fault::FaultPlan;
 use datagrid_simnet::rng::SimRng;
 use datagrid_simnet::tcp::TcpParams;
 use datagrid_simnet::time::{SimDuration, SimTime};
-use datagrid_simnet::topology::{LinkId, NodeId, Topology};
+use datagrid_simnet::topology::{LinkId, NodeId, Path, Topology};
 use datagrid_simnet::trace::NetworkTrace;
 use datagrid_sysmon::host::{HostId, HostSpec, SimHost};
 use datagrid_sysmon::load::LoadModel;
@@ -748,7 +757,7 @@ impl DataGrid {
 
     /// All host ids, in creation order.
     pub fn host_ids(&self) -> impl Iterator<Item = HostId> + '_ {
-        (0..self.hosts.len() as u32).map(HostId)
+        (0u32..).map(HostId).take(self.hosts.len())
     }
 
     /// The replica catalog.
@@ -997,21 +1006,31 @@ impl DataGrid {
     /// The TCP parameters a connection between two nodes experiences
     /// (window ceiling from configuration, loss from the path).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the nodes are unroutable.
-    pub fn tcp_for(&self, src: NodeId, dst: NodeId) -> TcpParams {
-        let path = self
-            .sim
-            .routing()
-            .path(src, dst)
-            .unwrap_or_else(|| panic!("no route {src} -> {dst}"));
-        let loss = self.sim.topology().path_loss(path);
+    /// [`GridError::Unroutable`] if no route joins the nodes.
+    pub fn tcp_for(&self, src: NodeId, dst: NodeId) -> Result<TcpParams, GridError> {
+        Ok(self.tcp_on(self.route(src, dst)?))
+    }
+
+    /// [`DataGrid::tcp_for`] over an already resolved path.
+    fn tcp_on(&self, path: &Path) -> TcpParams {
         TcpParams {
             max_window: self.tcp_window,
-            loss_rate: loss,
+            loss_rate: self.sim.topology().path_loss(path),
             ..TcpParams::default()
         }
+    }
+
+    /// The route from `src` to `dst`.
+    fn route(&self, src: NodeId, dst: NodeId) -> Result<&Path, GridError> {
+        self.sim
+            .routing()
+            .path(src, dst)
+            .ok_or_else(|| GridError::Unroutable {
+                from: self.sim.topology().node_name(src).to_string(),
+                to: self.sim.topology().node_name(dst).to_string(),
+            })
     }
 
     /// A transfer endpoint snapshot of a host's current resources.
@@ -1196,7 +1215,6 @@ impl DataGrid {
     /// # Errors
     ///
     /// As [`DataGrid::score_candidates`]; on error `out` is left cleared.
-    // lint: hot-path
     pub fn score_candidates_into(
         &self,
         client: HostId,
@@ -1262,11 +1280,13 @@ impl DataGrid {
             });
         }
         let client_node = self.node_of(client);
+        self.route(client_node, self.catalog_node)?;
         out.reserve(locations.len());
         let mut used_residual = false;
         for pfn in locations.iter().cloned() {
             let host_id = self.host_of_pfn(&pfn)?;
             let node = self.node_of(host_id);
+            self.route(node, client_node)?;
             let is_local = host_id == client;
             let (factors, residual) = self.gather_factors(node, client_node, &pfn, is_local);
             used_residual |= residual;
@@ -1373,6 +1393,10 @@ impl DataGrid {
     /// # Panics
     ///
     /// Panics if the hosts are unroutable.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int casts saturate, and the stream count is clamped to 1..=16 right after"
+    )]
     pub fn suggested_parallelism(&self, src: HostId, dst: HostId) -> u32 {
         let s = self.node_of(src);
         let d = self.node_of(dst);
@@ -1384,7 +1408,7 @@ impl DataGrid {
         let Some(capacity) = self.sim.topology().path_capacity(path) else {
             return 1; // node-local
         };
-        let per_stream = self.tcp_for(s, d).steady_rate(self.sim.rtt(s, d)).as_bps();
+        let per_stream = self.tcp_on(path).steady_rate(path.rtt()).as_bps();
         if per_stream <= 0.0 {
             return 16;
         }
@@ -1405,13 +1429,13 @@ impl DataGrid {
 
     /// Catalog and selection server query latency for a client: two round
     /// trips to the catalog node plus processing.
-    fn service_latency(&self, client: HostId) -> SimDuration {
-        let rtt = self
-            .sim
-            .routing()
-            .rtt(self.node_of(client), self.catalog_node)
-            .expect("catalog reachable");
-        rtt * 2 + SimDuration::from_millis(5)
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::Unroutable`] if the client cannot reach the catalog.
+    fn service_latency(&self, client: HostId) -> Result<SimDuration, GridError> {
+        let rtt = self.route(self.node_of(client), self.catalog_node)?.rtt();
+        Ok(rtt * 2 + SimDuration::from_millis(5))
     }
 
     fn host_of_pfn(&self, pfn: &PhysicalFileName) -> Result<HostId, GridError> {
@@ -1475,8 +1499,7 @@ impl DataGrid {
             .topology()
             .max_link_capacity()
             .expect("grids have links");
-        let tcp = self.tcp_for(src, dst);
-        let cap = tcp.steady_rate(self.sim.rtt(src, dst));
+        let cap = self.tcp_on(path).steady_rate(path.rtt());
         let avail = self.sim.available_bandwidth(src, dst, Some(cap));
         (avail.as_bps() / reference.as_bps()).clamp(0.0, 1.0)
     }
@@ -1630,6 +1653,10 @@ impl DataGrid {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "probe tokens are TOK_PROBE_BASE plus a monitored-pair index, which is a usize"
+    )]
     fn handle_internal(&mut self, ev: &SimEvent) {
         match &ev.kind {
             EventKind::TimerFired(TOK_MONITOR) => self.on_monitor_tick(),
@@ -1703,9 +1730,9 @@ impl DataGrid {
         self.trace.sample(&self.sim);
         self.sample_timeline();
         let now = self.sim.now();
-        for (i, host) in self.hosts.iter_mut().enumerate() {
+        for (id, host) in (0u32..).map(HostId).zip(self.hosts.iter_mut()) {
             host.advance_to(now);
-            self.mds.refresh(HostId(i as u32), host, now);
+            self.mds.refresh(id, host, now);
         }
         self.obs.metrics_mut().inc("monitor.ticks");
         for i in 0..self.hosts.len() {
@@ -1742,12 +1769,18 @@ impl DataGrid {
 
     /// Launches the probe for monitored pair `index`, unless its previous
     /// probe is still in flight (a slow path must not pile up probes).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "any() over the in-flight probes does not depend on their order"
+    )]
     fn launch_probe(&mut self, index: usize) {
         let (src, dst) = self.monitored[index];
         if self.pending_probes.values().any(|&p| p == (src, dst)) {
             return;
         }
-        let tcp = self.tcp_for(src, dst);
+        let tcp = self
+            .tcp_for(src, dst)
+            .expect("build rejects unroutable monitored pairs");
         let cap = tcp.steady_rate(self.sim.rtt(src, dst));
         let id = self.sim.start_flow(
             FlowSpec::new(src, dst, self.probe_bytes)
@@ -2161,6 +2194,11 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    clippy::wildcard_enum_match_arm,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod recovery_grid_tests {
     use super::tests::{small_grid, with_file};
     use super::*;
@@ -2337,6 +2375,79 @@ mod recovery_grid_tests {
             }
             other => panic!("unexpected error {other}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod unroutable_tests {
+    use super::*;
+    use crate::ReplayJob;
+    use datagrid_simnet::topology::{Bandwidth, LinkSpec};
+
+    const MB: u64 = 1 << 20;
+
+    /// Two islands, `a`–`b` and `c`–`d`, with no link between them. The
+    /// catalog runs on `a`; `file-a` lives only on `d`.
+    fn islands() -> DataGrid {
+        let mut b = GridBuilder::new(7);
+        let idle = || LoadModel::Constant(0.0);
+        let link = LinkSpec::new(Bandwidth::from_mbps(80.0), SimDuration::from_millis(5));
+        let mut node = |name| b.add_host(HostSpec::new(name), idle(), idle());
+        let (a, bb, c, d) = (node("a"), node("b"), node("c"), node("d"));
+        b.topology_mut().add_duplex_link(a, bb, link);
+        b.topology_mut().add_duplex_link(c, d, link);
+        let mut grid = b.build();
+        grid.catalog_mut()
+            .register_logical("file-a".parse().unwrap(), 4 * MB)
+            .unwrap();
+        grid.place_replica("file-a", "d").unwrap();
+        grid
+    }
+
+    fn unroutable(from: &str, to: &str) -> GridError {
+        GridError::Unroutable {
+            from: from.into(),
+            to: to.into(),
+        }
+    }
+
+    #[test]
+    fn client_cut_off_from_the_catalog_gets_an_error() {
+        let mut grid = islands();
+        let c = grid.host_id("c").unwrap();
+        assert_eq!(
+            grid.score_candidates(c, "file-a").unwrap_err(),
+            unroutable("c", "a")
+        );
+        assert_eq!(grid.fetch(c, "file-a").unwrap_err(), unroutable("c", "a"));
+        assert_eq!(grid.network().flow_count_by_tag(FlowTag::User), 0);
+    }
+
+    #[test]
+    fn replica_cut_off_from_the_client_gets_an_error() {
+        let mut grid = islands();
+        let b = grid.host_id("b").unwrap();
+        assert_eq!(
+            grid.score_candidates(b, "file-a").unwrap_err(),
+            unroutable("d", "b")
+        );
+        assert_eq!(grid.fetch(b, "file-a").unwrap_err(), unroutable("d", "b"));
+        let jobs = [ReplayJob {
+            at: SimTime::ZERO,
+            client: b,
+            lfn: "file-a".into(),
+        }];
+        let err = grid
+            .replay_concurrent(&jobs, FetchOptions::default(), &RecoveryOptions::default())
+            .unwrap_err();
+        assert_eq!(err, unroutable("d", "b"));
+        let a = grid.host_id("a").unwrap();
+        let d = grid.host_id("d").unwrap();
+        let err = grid
+            .transfer_between(d, a, TransferRequest::new(MB))
+            .unwrap_err();
+        assert_eq!(err, unroutable("d", "a"));
+        assert_eq!(grid.network().flow_count_by_tag(FlowTag::User), 0);
     }
 }
 

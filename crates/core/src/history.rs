@@ -5,6 +5,11 @@
 //! and sorts sites by cost on demand. [`CostHistory`] is that program's
 //! data model; the `fig5` bench binary renders it as text.
 
+#![expect(
+    clippy::expect_used,
+    reason = "cost-history entries are finite by construction"
+)]
+
 use std::collections::BTreeMap;
 
 use datagrid_simnet::time::{SimDuration, SimTime};
@@ -85,6 +90,10 @@ impl CostHistory {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -123,6 +123,10 @@ impl ReplicaSelector {
     /// # Panics
     ///
     /// Panics if `candidates` is empty.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the round-robin counter only needs its low bits: it is reduced modulo the candidate count"
+    )]
     pub fn choose(&mut self, candidates: &[CandidateScore]) -> usize {
         assert!(
             !candidates.is_empty(),
@@ -133,7 +137,7 @@ impl ReplicaSelector {
         }
         match self.policy {
             SelectionPolicy::CostModel => argmax(candidates, |c| c.score),
-            SelectionPolicy::Random => self.rng.below(candidates.len() as u64) as usize,
+            SelectionPolicy::Random => self.rng.index(candidates.len()),
             SelectionPolicy::RoundRobin => {
                 // Rotate deterministically through name order.
                 let mut order: Vec<usize> = (0..candidates.len()).collect();
@@ -150,6 +154,10 @@ impl ReplicaSelector {
     }
 }
 
+#[expect(
+    clippy::float_cmp,
+    reason = "exact ties only: any score difference decides, and bit-equal scores break by host name"
+)]
 fn argmax(candidates: &[CandidateScore], key: impl Fn(&CandidateScore) -> f64) -> usize {
     let mut best = 0;
     for i in 1..candidates.len() {

@@ -159,6 +159,10 @@ impl Extend<Observation> for WeightTuner {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -14,8 +14,18 @@
 //! every transferring session: once warm, refreshing running sessions'
 //! stream caps and applying them as one batch allocates nothing.
 //!
+//! A third pins a warmed [`DataGrid::score_candidates_into`] cache hit:
+//! it reuses the caller's buffer, so it allocates only the three owned
+//! strings each candidate carries.
+//!
 //! The allocator lives here (an integration test is its own crate root)
 //! because every library crate carries `#![forbid(unsafe_code)]`.
+
+#![allow(
+    unsafe_code,
+    clippy::unwrap_used,
+    reason = "a counting GlobalAlloc is unsafe, fixtures unwrap; outside library scope"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -68,8 +78,10 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-#[test]
-fn replay_allocations_scale_with_jobs_not_events() {
+/// `client` behind a switch, with `file-a` (24 MiB) on a fast and a slow
+/// replica host; recording and network validation are off and the
+/// sensors are warm.
+fn two_replica_grid() -> DataGrid {
     let mut b = GridBuilder::new(41);
     let client = b.add_host(
         HostSpec::new("client").with_cpu(2, 2.0),
@@ -105,7 +117,12 @@ fn replay_allocations_scale_with_jobs_not_events() {
     grid.place_replica("file-a", "fast").unwrap();
     grid.place_replica("file-a", "slow").unwrap();
     grid.warm_up(SimDuration::from_secs(120));
+    grid
+}
 
+#[test]
+fn replay_allocations_scale_with_jobs_not_events() {
+    let mut grid = two_replica_grid();
     let client_id = grid.host_id("client").unwrap();
     let jobs: Vec<ReplayJob> = (0..24)
         .map(|i| ReplayJob {
@@ -217,7 +234,9 @@ fn warmed_monitor_tick_refresh_allocates_nothing() {
         .into_iter()
         .enumerate()
         .map(|(i, src)| {
-            let tcp = grid.tcp_for(grid.node_of(src), grid.node_of(client));
+            let tcp = grid
+                .tcp_for(grid.node_of(src), grid.node_of(client))
+                .expect("the testbed is connected");
             let mut session = TransferSession::new(
                 TransferRequest::new(1 << 32).with_parallelism(4),
                 grid.endpoint_for(src),
@@ -273,5 +292,36 @@ fn warmed_monitor_tick_refresh_allocates_nothing() {
     assert_eq!(
         tick_allocs, 0,
         "a warmed monitor-tick refresh must not allocate (saw {tick_allocs} allocations)"
+    );
+}
+
+#[test]
+fn warmed_score_cache_hit_allocates_only_candidate_strings() {
+    let grid = two_replica_grid();
+    let client = grid.host_id("client").unwrap();
+    let mut out = Vec::new();
+    // The first query fills the client's cache slot and sizes `out`.
+    grid.score_candidates_into(client, "file-a", &mut out)
+        .unwrap();
+    let (hits, _) = grid.score_scratch_stats();
+
+    let a0 = allocs();
+    grid.score_candidates_into(client, "file-a", &mut out)
+        .unwrap();
+    let hit_allocs = allocs() - a0;
+
+    assert_eq!(
+        grid.score_scratch_stats().0,
+        hits + 1,
+        "second query must hit"
+    );
+    assert_eq!(out.len(), 2);
+    // `ScoreEntry::materialize_into` clones `host_name` and `location`
+    // per candidate, and a location owns two strings (host and path); the
+    // candidate list itself reuses `out`'s capacity.
+    assert!(
+        hit_allocs <= 3 * out.len() as u64,
+        "cache hit made {hit_allocs} allocations for {} candidates",
+        out.len()
     );
 }

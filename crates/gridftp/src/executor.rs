@@ -9,7 +9,14 @@
 //! [`run_transfer`] / [`run_striped_transfer`] when the transfer is the
 //! only foreground activity.
 
-use std::collections::HashMap;
+#![expect(
+    clippy::panic,
+    reason = "unexpected event in a protocol state is a simulation bug (drivers route by TransferSession::owns), failing fast is deliberate"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "phase records are appended in protocol order; run_transfer's lone session always holds pending work while polled"
+)]
 
 use datagrid_simnet::engine::{EventKind, FlowId, FlowSpec, NetSim, SimEvent};
 use datagrid_simnet::tcp::TcpParams;
@@ -186,8 +193,9 @@ pub struct TransferSession {
     state: State,
     started: SimTime,
     phases: Vec<PhaseRecord>,
-    /// Active data flows and what each is carrying.
-    active_flows: HashMap<FlowId, StreamFlow>,
+    /// Active data flows and what each is carrying, in start order. A
+    /// session holds at most `streams × stripes` of them.
+    active_flows: Vec<(FlowId, StreamFlow)>,
     /// Payload bytes fully delivered by already-completed streams.
     completed_payload: u64,
     wire_bytes: u64,
@@ -273,7 +281,7 @@ impl TransferSession {
             state: State::Idle,
             started: SimTime::ZERO,
             phases: Vec::new(),
-            active_flows: HashMap::new(),
+            active_flows: Vec::new(),
             completed_payload: 0,
             wire_bytes: 0,
         })
@@ -367,10 +375,9 @@ impl TransferSession {
         sim.schedule_timer_after(control, self.token_base + Self::TOK_CONTROL);
     }
 
-    /// Ids of the data flows currently in flight, in unspecified order
-    /// (drivers that index them must not let the order become observable).
+    /// Ids of the data flows currently in flight, in start order.
     pub fn active_flow_ids(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.active_flows.keys().copied()
+        self.active_flows.iter().map(|&(id, _)| id)
     }
 
     /// `true` if this event belongs to this session.
@@ -379,7 +386,9 @@ impl TransferSession {
             EventKind::TimerFired(token) => {
                 (self.token_base..self.token_base + Self::TOKENS_PER_SESSION).contains(token)
             }
-            EventKind::FlowCompleted(done) => self.active_flows.contains_key(&done.id),
+            EventKind::FlowCompleted(done) => {
+                self.active_flows.iter().any(|(id, _)| *id == done.id)
+            }
             // Fault transitions are broadcast; the driver reacts, not the
             // session (its watchdog notices the consequences).
             EventKind::FaultChanged(_) => false,
@@ -444,8 +453,8 @@ impl TransferSession {
                 SessionStatus::InProgress
             }
             (State::Data, EventKind::FlowCompleted(done)) => {
-                if let Some(stream) = self.active_flows.remove(&done.id) {
-                    self.completed_payload += stream.payload;
+                if let Some(i) = self.active_flows.iter().position(|(id, _)| *id == done.id) {
+                    self.completed_payload += self.active_flows.remove(i).1.payload;
                 }
                 if self.active_flows.is_empty() {
                     self.finish_data(sim, event.time);
@@ -484,8 +493,8 @@ impl TransferSession {
         let stalled = !self.active_flows.is_empty()
             && self
                 .active_flows
-                .keys()
-                .all(|&id| sim.flow_rate(id).is_none_or(|r| r.as_bps() <= 1e-6));
+                .iter()
+                .all(|&(id, _)| sim.flow_rate(id).is_none_or(|r| r.as_bps() <= 1e-6));
         if stalled {
             let resumable = self.req.effective_mode().is_extended();
             let delivered_payload = self.abort(sim);
@@ -560,7 +569,6 @@ impl TransferSession {
     /// # Panics
     ///
     /// Panics if `sources` does not match the session's stripe count.
-    // lint: hot-path
     pub fn refresh_endpoints(
         &mut self,
         sim: &NetSim,
@@ -578,7 +586,7 @@ impl TransferSession {
         if self.state != State::Data {
             return;
         }
-        for (&flow, stream) in &self.active_flows {
+        for &(flow, stream) in &self.active_flows {
             caps.push((flow, self.stream_cap(sim, &self.sources[stream.source])));
         }
     }
@@ -592,9 +600,13 @@ impl TransferSession {
     /// Fully delivered streams count entirely; interrupted streams count
     /// their delivered fraction rounded down (conservative, as restart
     /// markers only cover acknowledged blocks).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the delivered share is a finite, non-negative fraction of a u64 payload"
+    )]
     pub fn abort(&mut self, sim: &mut NetSim) -> u64 {
         let mut delivered = self.completed_payload;
-        for (flow, stream) in self.active_flows.drain() {
+        for (flow, stream) in self.active_flows.drain(..) {
             if let Some(progress) = sim.abort_flow(flow) {
                 if stream.wire > 0 {
                     let fraction = (progress.bytes_done / stream.wire as f64).clamp(0.0, 1.0);
@@ -610,7 +622,7 @@ impl TransferSession {
         let mode = self.req.effective_mode();
         let streams = self.req.streams();
         let total_payload = self.req.payload_bytes();
-        let stripes = self.sources.len() as u32;
+        let stripes = u32::try_from(self.sources.len()).expect("few stripes");
         let stripe_payloads = TransferMode::split_across_streams(total_payload, stripes);
         let sources = self.sources.clone();
 
@@ -621,14 +633,14 @@ impl TransferSession {
                 self.wire_bytes += wire;
                 let id =
                     sim.start_flow(FlowSpec::new(source.node, self.dst.node, wire).with_cap(cap));
-                self.active_flows.insert(
+                self.active_flows.push((
                     id,
                     StreamFlow {
                         source: src_idx,
                         payload: stream_payload,
                         wire,
                     },
-                );
+                ));
             }
         }
     }

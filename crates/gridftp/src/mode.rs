@@ -105,6 +105,10 @@ impl TransferMode {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -1,6 +1,11 @@
 //! The replica-selection audit log: every cost-model decision, with the
 //! full per-candidate factor breakdown the paper's Table 1 argues from.
 
+#![expect(
+    clippy::expect_used,
+    reason = "sort keys are pre-filtered to measured candidates"
+)]
+
 use crate::event::{json_f64, json_string};
 use datagrid_simnet::time::SimTime;
 use std::fmt::Write as _;
@@ -102,6 +107,10 @@ impl SelectionDecision {
     /// better-scored candidate was also the faster one. `None` until at
     /// least one comparable pair exists. `1.0` is the paper's Table 1
     /// claim — the cost model's order explains the measured order.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact ties carry no ordering evidence; any measured difference does"
+    )]
     pub fn rank_agreement(&self) -> Option<f64> {
         let measured: Vec<&CandidateAudit> = self
             .candidates

@@ -102,6 +102,10 @@ impl Histogram {
     /// inside the bucket holding the target rank, clamped to the observed
     /// `[min, max]` range. Deterministic: a pure function of the bucket
     /// counts. Returns `None` on an empty histogram.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "q is clamped to [0, 1], so the rank lies in [0, count] before the clamp"
+    )]
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;

@@ -9,8 +9,8 @@
 //! - **wall-clock timings** — total/self nanoseconds per phase, collected
 //!   only when the `prof-timing` cargo feature is on. Default builds
 //!   contain no clock reads at all, keeping the simulation crates honest
-//!   about sim-time-only behaviour (see `datagrid-lint`'s `no-wallclock`
-//!   rule; the one gated clock read below is allowlisted).
+//!   about sim-time-only behaviour (`clippy.toml` disallows
+//!   `Instant::now`; the one gated clock read below carries an `expect`).
 //!
 //! Interior mutability (a `RefCell`) keeps the spanning API `&self`, so a
 //! driver can open a span on one field of a struct while mutating its
@@ -32,6 +32,10 @@ mod clock {
 
     pub(super) type Stamp = std::time::Instant;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiler's clock compiles out without the prof-timing feature; default simulation builds are clock-free"
+    )]
     pub(super) fn now() -> Stamp {
         std::time::Instant::now()
     }

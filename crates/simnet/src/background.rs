@@ -172,6 +172,10 @@ impl FromIterator<BackgroundProfile> for BackgroundTraffic {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
     use crate::topology::Topology;

@@ -25,6 +25,15 @@
 //! * **Zero steady-state allocation.** All solver and component-walk
 //!   buffers are owned scratch, reused across events.
 
+#![expect(
+    clippy::panic,
+    reason = "documented # Panics contracts (rtt, start_flow on unroutable pairs) and the deliberate certificate-enforcement panic"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "slab/index invariants: every expect names a liveness guarantee the engine itself maintains"
+)]
+
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -32,7 +41,7 @@ use std::sync::Arc;
 use crate::background::BackgroundProfile;
 use crate::event::EventQueue;
 use crate::fault::{FaultKind, FaultPlan, ScheduledFault};
-use crate::flow::MaxMinSolver;
+use crate::flow::{id32, MaxMinSolver};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{Bandwidth, LinkId, NodeId, RoutingTable, Topology};
@@ -331,8 +340,7 @@ impl CompScratch {
         self.flow_stamp.shrink_to_fit();
         self.link_stamp.truncate(links);
         self.link_stamp.shrink_to_fit();
-        // Covers this line and the next:
-        self.flows = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; auto-shrink releases capacity
+        self.flows = Vec::new();
         self.links = Vec::new();
     }
 
@@ -540,7 +548,7 @@ impl NetSim {
             auto_shrink: true,
             slot_high_water: 0,
             cap_snapshot: Vec::new(),
-            all_links: (0..link_count as u32).collect(),
+            all_links: (0..id32(link_count)).collect(),
             net_version: 0,
             batching: true,
             batch_active: false,
@@ -650,7 +658,7 @@ impl NetSim {
     ///
     /// Returns the first [`Violation`] that falsifies the certificate.
     pub fn verify_allocation(&self) -> Result<Certificate, Violation> {
-        let live: Vec<u32> = (0..self.flows.len() as u32)
+        let live: Vec<u32> = (0..id32(self.flows.len()))
             .filter(|&s| self.flows[s as usize].is_some())
             .collect();
         self.verify_scope(&live, &self.all_links)
@@ -695,7 +703,7 @@ impl NetSim {
         for (slot, f) in self.flows.iter().enumerate() {
             if let Some(f) = f {
                 entries.push((
-                    slot as u32,
+                    id32(slot),
                     f.rate_bps.to_bits(),
                     f.remaining.to_bits(),
                     f.last_update,
@@ -856,8 +864,7 @@ impl NetSim {
         // Per-link loads from the persistent crossing indexes. `sat` and
         // `peak` are indexed by raw link id so the bottleneck pass below
         // can look route links up directly.
-        // Covers this line and the next:
-        let mut sat = vec![false; self.link_caps.len()]; // lint: allow(alloc-in-hot-path) -- certificate validation path, gated by the validate flag
+        let mut sat = vec![false; self.link_caps.len()];
         let mut peak = vec![0.0f64; self.link_caps.len()];
         for &l in links {
             let crossing = &self.link_flows[l as usize];
@@ -1031,8 +1038,7 @@ impl NetSim {
         let links = self.link_caps.len();
         self.comp.shrink(slots, links);
         self.solver.shrink();
-        // Covers this line and the next:
-        self.trans.entries = Vec::new(); // lint: allow(alloc-in-hot-path) -- alloc-free capacity release
+        self.trans.entries = Vec::new();
         self.cap_changed = Vec::new();
         let mut probe = self.probe.borrow_mut();
         probe.comp.shrink(slots, links);
@@ -1247,7 +1253,6 @@ impl NetSim {
     /// Components are solved separately, not as one union: progressive
     /// filling shares its fill level across everything it solves, so a
     /// union would couple the rounding of unrelated components.
-    // lint: hot-path
     pub fn set_flow_caps(&mut self, caps: &[(FlowId, Bandwidth)]) {
         self.cap_changed.clear();
         for &(id, cap) in caps {
@@ -1422,7 +1427,6 @@ impl NetSim {
     /// probe flow is active and no timer is pending. (Background traffic
     /// alone never produces public events, so the engine refuses to spin on
     /// it forever.)
-    // lint: hot-path
     pub fn next_event(&mut self) -> Option<SimEvent> {
         loop {
             if let Some(ev) = self.pending.pop_front() {
@@ -1553,7 +1557,7 @@ impl NetSim {
         for &l in route.iter() {
             self.comp.add_link(l);
         }
-        self.comp.add_flow(slot as u32, &self.flows);
+        self.comp.add_flow(id32(slot), &self.flows);
     }
 
     /// Defers the re-solve for a flow that disappeared while a cohort is
@@ -1581,6 +1585,14 @@ impl NetSim {
         }
     }
 
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact change detection: a link capacity the fault left untouched is bit-identical, so any difference must re-solve"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int casts saturate: a wire size is finite, non-negative and far below u64::MAX"
+    )]
     fn handle(&mut self, internal: Internal) {
         self.stats.events_processed += 1;
         match internal {
@@ -1646,7 +1658,7 @@ impl NetSim {
                 self.stats.fault_transitions += 1;
                 let kind = self.faults[index].fault.kind;
                 self.faults[index].active = start && !kind.is_instant();
-                let mut drop_seeds = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
+                let mut drop_seeds = Vec::new();
                 if let FaultKind::ConnectionDrop { node } = kind {
                     drop_seeds = self.drop_connections_through(node);
                 }
@@ -1703,14 +1715,14 @@ impl NetSim {
     /// detect the loss through their own timeouts.
     fn drop_connections_through(&mut self, node: NodeId) -> Vec<LinkId> {
         let incident = self.topo.incident_links(node);
-        let mut victims: Vec<u32> = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
+        let mut victims: Vec<u32> = Vec::new();
         for (slot, f) in self.flows.iter().enumerate() {
             let Some(f) = f else { continue };
             if f.src == node || f.dst == node || f.route.iter().any(|l| incident.contains(l)) {
-                victims.push(slot as u32);
+                victims.push(id32(slot));
             }
         }
-        let mut seeds: Vec<LinkId> = Vec::new(); // lint: allow(alloc-in-hot-path) -- fault path, not steady dispatch
+        let mut seeds: Vec<LinkId> = Vec::new();
         for &slot in &victims {
             let f = self.remove_flow(slot);
             seeds.extend_from_slice(&f.route);
@@ -1723,7 +1735,6 @@ impl NetSim {
     /// the old settle-the-world pass: exact because a flow's rate is
     /// constant between rate assignments, so integration can be deferred
     /// until the rate is about to change or progress is read.
-    // lint: hot-path
     fn settle_flow(&mut self, slot: usize) {
         let now = self.now;
         let f = self.flows[slot].as_mut().expect("settle of dead slot");
@@ -1777,7 +1788,7 @@ impl NetSim {
             SolverMode::Full => self.resolve_everything(),
             SolverMode::Incremental => {
                 self.comp.begin(self.flows.len(), self.link_caps.len());
-                self.comp.add_flow(slot as u32, &self.flows);
+                self.comp.add_flow(id32(slot), &self.flows);
                 self.comp.expand(&self.flows, &self.link_flows);
                 self.solve_component();
             }
@@ -1806,7 +1817,10 @@ impl NetSim {
     /// Runs progressive filling over the component currently held in
     /// `self.comp`, then settles and reschedules exactly the flows whose
     /// rate actually changed.
-    // lint: hot-path
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact change detection: only a flow whose rate actually changed is settled and rescheduled"
+    )]
     fn solve_component(&mut self) {
         let n = self.comp.flows.len();
         if n == 0 {
@@ -1876,7 +1890,7 @@ impl NetSim {
         for slot in 0..self.flows.len() {
             if self.flows[slot].is_some() {
                 self.settle_flow(slot);
-                self.comp.flows.push(slot as u32);
+                self.comp.flows.push(id32(slot));
             }
         }
         let n = self.comp.flows.len();
@@ -1947,6 +1961,10 @@ impl NetSim {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::wildcard_enum_match_arm,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
     use crate::topology::LinkSpec;
@@ -2428,6 +2446,10 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod mode_tests {
     use super::*;
     use crate::topology::LinkSpec;
@@ -2653,6 +2675,12 @@ mod mode_tests {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::unreachable,
+    clippy::wildcard_enum_match_arm,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod fault_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};

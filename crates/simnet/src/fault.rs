@@ -269,6 +269,10 @@ impl FaultPlan {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -109,12 +109,12 @@ impl MaxMinSolver {
     /// Buffers retain the high-water flow/link counts otherwise; the
     /// engine calls this from [`crate::engine::NetSim::shrink_scratch`].
     pub fn shrink(&mut self) {
-        // Each allow covers its own line and the next:
-        self.rate = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        // `Vec::new` does not allocate: each assignment frees a buffer.
+        self.rate = Vec::new();
         self.frozen = Vec::new();
-        self.cap = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        self.cap = Vec::new();
         self.remaining = Vec::new();
-        self.users = Vec::new(); // lint: allow(alloc-in-hot-path) -- Vec::new is alloc-free; shrink releases capacity
+        self.users = Vec::new();
     }
 
     /// Computes the max-min fair allocation for `n` flows.
@@ -297,6 +297,17 @@ impl MaxMinSolver {
     }
 }
 
+/// A flow slot or link index as the solver's `u32` id. Every index fits:
+/// `NetSim::start_flow` and `Topology::add_link` refuse to grow past
+/// `u32::MAX`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "callers pass slab and link indices"
+)]
+pub(crate) fn id32(index: usize) -> u32 {
+    index as u32
+}
+
 /// Computes the max-min fair allocation (allocating convenience wrapper
 /// around [`MaxMinSolver`]).
 ///
@@ -324,7 +335,7 @@ pub fn max_min_allocation(flows: &[FlowDemand<'_>], link_capacity_bps: &[f64]) -
             );
         }
     }
-    let links: Vec<u32> = (0..link_capacity_bps.len() as u32).collect();
+    let links: Vec<u32> = (0..id32(link_capacity_bps.len())).collect();
     let mut solver = MaxMinSolver::new();
     solver
         .solve_with(
@@ -338,6 +349,10 @@ pub fn max_min_allocation(flows: &[FlowDemand<'_>], link_capacity_bps: &[f64]) -
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -94,11 +94,29 @@ impl SimRng {
         lo + (hi - lo) * self.next_f64()
     }
 
+    /// A uniform index in `[0, n)`: [`SimRng::below`] for collection
+    /// sizes, drawing exactly the same numbers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below n, which is a usize"
+    )]
+    pub fn index(&mut self, n: usize) -> usize {
+        self.below(n as u64) as usize
+    }
+
     /// A uniform integer in `[0, n)`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's multiply-shift keeps the low 64 bits of the 128-bit product on purpose"
+    )]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is empty");
         // Lemire-style rejection for unbiased sampling.
@@ -176,6 +194,10 @@ impl SimRng {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

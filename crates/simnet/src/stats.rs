@@ -1,6 +1,11 @@
 //! Small online statistics accumulators used throughout the simulator and
 //! the experiment harness.
 
+#![expect(
+    clippy::expect_used,
+    reason = "summaries reject NaN at ingestion, so comparisons are total"
+)]
+
 use crate::time::{SimDuration, SimTime};
 
 /// Welford online accumulator for count/mean/variance/min/max.
@@ -197,6 +202,10 @@ pub fn median(xs: &[f64]) -> f64 {
 /// order statistics (0 when empty). `q` is clamped to `[0, 1]`; the input
 /// need not be sorted. Used by the benchmark harness for latency
 /// percentiles.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "pos lies in [0, len - 1], so floor and ceil are exact indices"
+)]
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -229,6 +238,10 @@ pub fn throughput_bps(bytes: u64, elapsed: SimDuration) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -146,7 +146,9 @@ impl TcpParams {
             .log2()
             .ceil()
             .max(0.0);
-        if rounds == 0.0 {
+        // `rounds` is clamped to >= 0, so `<=` is the same test as `== 0`
+        // without an exact float comparison.
+        if rounds <= 0.0 {
             return SimDuration::ZERO;
         }
         // Bytes sent while ramping: W0 * (2^rounds - 1) ≈ target_window.

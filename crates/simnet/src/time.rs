@@ -6,6 +6,11 @@
 //! span between two points. Integer representation makes event ordering
 //! exact and platform independent.
 
+#![expect(
+    clippy::expect_used,
+    reason = "checked arithmetic on the simulated clock: overflow is a corrupted simulation, not a recoverable error"
+)]
+
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -144,6 +149,10 @@ impl SimDuration {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the asserts above bound nanos to [0, u64::MAX]; rounding to whole nanoseconds is the conversion"
+)]
 fn secs_to_nanos(secs: f64) -> u64 {
     assert!(
         secs.is_finite() && secs >= 0.0,
@@ -252,6 +261,10 @@ impl fmt::Display for SimDuration {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -6,6 +6,11 @@
 //! real switched Ethernet). Routing is static shortest path by latency,
 //! computed once per source node on demand and cached.
 
+#![expect(
+    clippy::expect_used,
+    reason = "u32 id-space bounds and finite-capacity invariants established at construction"
+)]
+
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
@@ -266,7 +271,7 @@ impl Topology {
 
     /// All node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.nodes.len()).map(NodeId::from_index)
     }
 
     /// The display name of a node.
@@ -283,7 +288,7 @@ impl Topology {
         self.nodes
             .iter()
             .position(|n| n.name == name)
-            .map(|i| NodeId(i as u32))
+            .map(NodeId::from_index)
     }
 
     /// The spec of a directed link.
@@ -492,7 +497,7 @@ impl RoutingTable {
         let n = topo.node_count();
         let mut routes = Vec::with_capacity(n);
         for s in 0..n {
-            let src = NodeId(s as u32);
+            let src = NodeId::from_index(s);
             let prev = topo.dijkstra(src);
             let mut row: Vec<Option<Path>> = Vec::with_capacity(n);
             for d in 0..n {
@@ -550,6 +555,10 @@ impl RoutingTable {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 
@@ -683,6 +692,10 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod loss_tests {
     use super::*;
 

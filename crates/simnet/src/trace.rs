@@ -6,6 +6,11 @@
 //! [`NetworkTrace::sample`] (the Data Grid does so on monitoring ticks),
 //! and answers windowed queries over the recorded history.
 
+#![expect(
+    clippy::expect_used,
+    reason = "utilisation samples are finite by construction"
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::engine::NetSim;
@@ -158,6 +163,10 @@ impl NetworkTrace {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
     use crate::engine::{EventKind, FlowSpec};

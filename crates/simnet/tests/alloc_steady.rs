@@ -12,6 +12,11 @@
 //! because every library crate carries `#![forbid(unsafe_code)]` and a
 //! `GlobalAlloc` impl is necessarily unsafe.
 
+#![allow(
+    unsafe_code,
+    reason = "a counting GlobalAlloc is unsafe; outside library scope"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

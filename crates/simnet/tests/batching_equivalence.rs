@@ -7,6 +7,11 @@
 //! ([`NetSim::set_flow_caps`]: one solve per touched component against
 //! one solve per changed cap), applied mid-run as monitor ticks do.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid_simnet::fault::FaultPlan;
 use datagrid_simnet::prelude::*;
 use proptest::prelude::*;

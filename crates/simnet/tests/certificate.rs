@@ -10,6 +10,12 @@
 //! every sampling instant of a randomized scenario, and nudging any live
 //! flow's rate by ±1e-3 relative must falsify the proof.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::float_cmp,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid_simnet::prelude::*;
 use proptest::prelude::*;
 

@@ -1,5 +1,11 @@
 //! Property-based tests of the simulation engine's global invariants.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::disallowed_methods,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid_simnet::prelude::*;
 use proptest::prelude::*;
 

@@ -13,6 +13,12 @@
 //! absorbs ulp-scale differences in how progressive filling partitions
 //! deltas when several components coexist.)
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::iter_over_hash_type,
+    reason = "test helpers; outside library scope"
+)]
+
 use std::collections::HashMap;
 
 use datagrid_simnet::prelude::*;

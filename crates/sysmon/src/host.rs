@@ -258,6 +258,10 @@ impl SimHost {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

@@ -188,6 +188,10 @@ impl LoadProcess {
     }
 
     /// Advances one step and returns the new utilisation.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the index is reduced modulo the trace length first, so it fits usize"
+    )]
     pub fn advance(&mut self) -> f64 {
         self.step += 1;
         self.current = match self.model {
@@ -226,13 +230,19 @@ impl LoadProcess {
                 (base + amplitude * phase.sin() + sigma * self.rng.standard_normal())
                     .clamp(0.0, 1.0)
             }
-            LoadModel::Trace(ref samples) => samples[(self.step as usize - 1) % samples.len()],
+            LoadModel::Trace(ref samples) => {
+                samples[((self.step - 1) % samples.len() as u64) as usize]
+            }
         };
         self.current
     }
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 
@@ -344,6 +354,10 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod trace_model_tests {
     use super::*;
 

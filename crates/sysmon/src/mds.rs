@@ -5,6 +5,11 @@
 //! their static description once, push fresh utilisation numbers on every
 //! monitoring tick, and consumers query by host name.
 
+#![expect(
+    clippy::panic,
+    reason = "MDS lookup of an unregistered host is a documented # Panics contract"
+)]
+
 use std::collections::HashMap;
 
 use datagrid_simnet::time::SimTime;
@@ -104,6 +109,10 @@ impl MdsDirectory {
     }
 
     /// All registered records in name order (deterministic iteration).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the records are sorted by name before they are returned"
+    )]
     pub fn records(&self) -> Vec<&MdsRecord> {
         let mut v: Vec<&MdsRecord> = self.by_name.values().collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));

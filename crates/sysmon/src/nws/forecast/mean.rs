@@ -1,5 +1,10 @@
 //! Mean-based forecasters.
 
+#![expect(
+    clippy::expect_used,
+    reason = "sliding windows are non-empty whenever consulted; measurements reject NaN"
+)]
+
 use std::collections::VecDeque;
 
 use super::Forecaster;
@@ -214,6 +219,10 @@ impl Forecaster for TrimmedMean {
         self.buf.push_back(value);
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the trim count is a non-negative fraction of the window length"
+    )]
     fn forecast(&self) -> Option<f64> {
         if self.buf.is_empty() {
             return None;

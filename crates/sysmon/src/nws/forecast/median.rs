@@ -1,6 +1,11 @@
 //! Median-based forecasters (robust to outliers, which matter for
 //! bandwidth probes sharing links with bursty cross traffic).
 
+#![expect(
+    clippy::expect_used,
+    reason = "sliding windows are non-empty whenever consulted; measurements reject NaN"
+)]
+
 use std::collections::VecDeque;
 
 use super::Forecaster;

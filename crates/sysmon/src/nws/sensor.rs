@@ -133,6 +133,10 @@ impl BandwidthSensor {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
     use datagrid_simnet::topology::Topology;

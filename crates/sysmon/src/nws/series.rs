@@ -126,6 +126,10 @@ impl Extend<Sample> for TimeSeries {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
 

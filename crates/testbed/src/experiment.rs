@@ -1,6 +1,15 @@
 //! Experiment harness: text tables, selection-quality evaluation and
 //! observability dumps.
 
+#![expect(
+    clippy::expect_used,
+    reason = "oracle sweep guarantees at least one scored candidate"
+)]
+#![expect(
+    clippy::panic,
+    reason = "harness-level: a scenario referencing unknown hosts/files is unrunnable, abort loudly"
+)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -285,6 +294,10 @@ pub fn fmt_mbps(mbps: f64) -> String {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
     use crate::sites::paper_testbed;

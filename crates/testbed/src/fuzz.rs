@@ -29,6 +29,11 @@
 //!   again. Skipped when the scenario schedules faults (failure timing
 //!   is policy-dependent by design).
 
+#![expect(
+    clippy::expect_used,
+    reason = "generated worlds install and replay cleanly by construction (hosts, files and placements come from the same seed)"
+)]
+
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -85,9 +90,9 @@ impl FuzzSpec {
         let mut rng = SimRng::seed_from_u64(corpus_seed ^ 0xF0_22).fork(&format!("case:{index}"));
         FuzzSpec {
             seed: rng.below(1 << 32),
-            clients: 2 + rng.below(5) as usize,
-            files: 2 + rng.below(4) as usize,
-            requests_per_client: 1 + rng.below(3) as usize,
+            clients: 2 + rng.index(5),
+            files: 2 + rng.index(4),
+            requests_per_client: 1 + rng.index(3),
             faults: rng.below(2) == 0,
         }
     }
@@ -184,9 +189,10 @@ impl World {
     /// for `spec`. Every draw forks from the spec seed, so the same spec
     /// regenerates the same world byte for byte, and paired runs share
     /// one world by construction.
+    #[expect(clippy::cast_possible_truncation, reason = "below(2) draws 0 or 1")]
     fn generate(spec: &FuzzSpec) -> World {
         let mut rng = SimRng::seed_from_u64(spec.seed ^ 0xF0_33);
-        let sites = 2 + rng.below(2) as usize;
+        let sites = 2 + rng.index(2);
         let mut builder = GridBuilder::new(spec.seed);
         let backbone = builder.add_switch("backbone");
         let mut host_nodes: Vec<NodeId> = Vec::new();
@@ -205,7 +211,7 @@ impl World {
             );
             spoke_links.push(up);
             link_count += 2;
-            let site_hosts = 1 + rng.below(3) as usize;
+            let site_hosts = 1 + rng.index(3);
             for h in 0..site_hosts {
                 let name = format!("s{s}h{h}");
                 let node = builder.add_host(
@@ -237,7 +243,7 @@ impl World {
         let wl_spec = GridWorkloadSpec {
             clients: spec.clients,
             files: spec.files,
-            replicas_per_file: 1 + wl_rng.below(2) as usize,
+            replicas_per_file: 1 + wl_rng.index(2),
             median_bytes: 2 << (20 + wl_rng.below(3)),
             requests_per_client: spec.requests_per_client,
             mean_inter_arrival: SimDuration::from_secs_f64(wl_rng.uniform(0.3, 2.0)),
@@ -253,21 +259,21 @@ impl World {
                 let duration = SimDuration::from_secs_f64(f_rng.uniform(0.2, 2.0));
                 let kind = match f_rng.below(4) {
                     0 => FaultKind::LinkDown {
-                        link: spoke_links[f_rng.below(spoke_links.len() as u64) as usize],
+                        link: spoke_links[f_rng.index(spoke_links.len())],
                     },
                     1 => FaultKind::LinkBrownout {
-                        link: spoke_links[f_rng.below(spoke_links.len() as u64) as usize],
+                        link: spoke_links[f_rng.index(spoke_links.len())],
                         factor: f_rng.uniform(0.1, 0.6),
                     },
                     2 => FaultKind::HostDegraded {
-                        node: host_nodes[f_rng.below(host_nodes.len() as u64) as usize],
+                        node: host_nodes[f_rng.index(host_nodes.len())],
                         factor: f_rng.uniform(0.2, 0.8),
                     },
                     // Never black out host 0: it carries the replica
                     // catalog and selection servers, whose loss is an
                     // availability scenario, not an equivalence one.
                     _ => FaultKind::HostBlackout {
-                        node: host_nodes[1 + f_rng.below(host_nodes.len() as u64 - 1) as usize],
+                        node: host_nodes[1 + f_rng.index(host_nodes.len() - 1)],
                     },
                 };
                 plan.push(ScheduledFault { at, duration, kind });

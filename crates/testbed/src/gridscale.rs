@@ -15,6 +15,11 @@
 //! high-water marks) render into the deterministic `BENCH_grid.json`
 //! body via [`GridScaleReport::render_json`].
 
+#![expect(
+    clippy::expect_used,
+    reason = "generated workloads install cleanly by construction; --verify cells fail fast on a refused certificate"
+)]
+
 use std::fmt::Write as _;
 
 use datagrid_core::prelude::{DataGrid, FetchOptions, RecoveryOptions, SelectionMode};

@@ -16,6 +16,11 @@
 //! `DATAGRID_JOBS` environment variable (`DATAGRID_JOBS=1` forces the exact
 //! serial path, useful for differential tests).
 
+#![expect(
+    clippy::expect_used,
+    reason = "worker-pool mutexes cannot poison (workers do not panic while holding them); every slot is filled before join"
+)]
+
 use std::sync::Mutex;
 
 /// The worker count used by [`par_map`]: `DATAGRID_JOBS` if set to a

@@ -14,6 +14,11 @@
 //! `datagrid-bench`), per-phase wall-clock milliseconds are added — those
 //! fields, and only those, vary run to run.
 
+#![expect(
+    clippy::expect_used,
+    reason = "generated workloads replay cleanly by construction; the harness attaches the timeline it later reads"
+)]
+
 use std::fmt::Write as _;
 
 use datagrid_core::prelude::{FetchOptions, RecoveryOptions};

@@ -286,6 +286,10 @@ pub fn paper_testbed_with(seed: u64, cal: &Calibration) -> (GridBuilder, PaperSi
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "tests pin exact values; outside library scope"
+)]
 mod tests {
     use super::*;
     use datagrid_simnet::time::SimDuration;

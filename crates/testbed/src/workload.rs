@@ -1,5 +1,10 @@
 //! Request workloads over replicated files.
 
+#![expect(
+    clippy::panic,
+    reason = "harness-level: generated workloads must reference grid hosts"
+)]
+
 use datagrid_catalog::name::{LogicalFileName, PhysicalFileName};
 use datagrid_core::prelude::{DataGrid, GridError, ReplayJob};
 use datagrid_simnet::rng::SimRng;
@@ -72,7 +77,7 @@ impl RequestTrace {
             if t > SimTime::ZERO + duration {
                 break;
             }
-            let client = clients[rng.below(clients.len() as u64) as usize];
+            let client = clients[rng.index(clients.len())];
             let mut pick = rng.uniform(0.0, total);
             let mut file = files[files.len() - 1];
             for (f, w) in files.iter().zip(&weights) {
@@ -231,7 +236,7 @@ pub fn grid_workload(spec: &GridWorkloadSpec, hosts: &[&str], seed: u64) -> Grid
             let mut pool: Vec<&str> = hosts.to_vec();
             (0..replicas)
                 .map(|_| {
-                    let i = place_rng.below(pool.len() as u64) as usize;
+                    let i = place_rng.index(pool.len());
                     pool.swap_remove(i).to_string()
                 })
                 .collect()
@@ -274,6 +279,10 @@ pub fn grid_workload(spec: &GridWorkloadSpec, hosts: &[&str], seed: u64) -> Grid
 /// Synthesises a catalogue of file names and sizes for a data-intensive
 /// workload: lognormal sizes around `median_bytes` (high-energy physics
 /// event files, genome databases).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int casts saturate; a file size is finite and at least one byte"
+)]
 pub fn synthetic_files(count: usize, median_bytes: u64, seed: u64) -> Vec<(String, u64)> {
     let mut rng = SimRng::seed_from_u64(seed);
     (0..count)

@@ -3,6 +3,8 @@
 //! divergence report, same shrunk reproducer; different seeds generate
 //! different worlds.
 
+#![allow(clippy::expect_used, reason = "test helpers; outside library scope")]
+
 use datagrid_testbed::fuzz::{
     check_scenario, render_divergence_report, run_scenario, shrink, FuzzSpec, BASELINE,
 };

@@ -7,6 +7,8 @@
 //! rendered tables. The test lives in its own integration-test binary so
 //! setting `DATAGRID_JOBS` cannot race with other tests.
 
+#![allow(clippy::expect_used, reason = "test helpers; outside library scope")]
+
 use datagrid_core::grid::DataGrid;
 use datagrid_gridftp::transfer::TransferRequest;
 use datagrid_simnet::time::SimDuration;

@@ -11,6 +11,12 @@
 //! cargo run --example bioinformatics
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example program; outside library scope"
+)]
+
 use datagrid::prelude::*;
 
 const DB_FILES: [(&str, u64); 3] = [

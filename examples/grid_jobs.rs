@@ -11,6 +11,12 @@
 //! cargo run --release --example grid_jobs
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example program; outside library scope"
+)]
+
 use datagrid::core::job::JobSpec;
 use datagrid::prelude::*;
 

@@ -10,6 +10,11 @@
 //! cargo run --release --example hep_workload
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    reason = "example program; outside library scope"
+)]
+
 use datagrid::prelude::*;
 
 fn build_grid(seed: u64) -> Result<DataGrid, Box<dyn std::error::Error>> {

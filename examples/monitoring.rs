@@ -10,6 +10,12 @@
 //! cargo run --example monitoring
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example program; outside library scope"
+)]
+
 use datagrid::obs::{Event, EventBus};
 use datagrid::prelude::*;
 use datagrid::sysmon::sysstat;

@@ -5,6 +5,12 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example program; outside library scope"
+)]
+
 use datagrid::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -12,6 +12,12 @@
 //! cargo run --release --example weight_tuning
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example program; outside library scope"
+)]
+
 use datagrid::prelude::*;
 
 const MB: u64 = 1 << 20;

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # The whole CI gate, runnable locally. Operates on the workspace's default
 # members plus an explicit `crates/bench` build (bench is excluded from the
-# default members so plain `cargo test` stays fast).
+# default members so plain `cargo test` stays fast); clippy covers the
+# whole workspace.
 #
 # Each step runs through `step`, which echoes its wall-clock time so slow
 # stages are visible at a glance both locally and in the Actions log.
 # Run a single step with e.g. `scripts/ci.sh test`; the Actions `analysis`
-# job runs `scripts/ci.sh lint clippy validate`.
+# job runs `scripts/ci.sh clippy validate`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,15 +25,11 @@ step_build() { step build cargo build --release; }
 step_bench_build() { step bench-build cargo build -p datagrid-bench; }
 step_test() { step test cargo test -q; }
 step_fmt() { step fmt cargo fmt --check; }
-step_clippy() { step clippy cargo clippy --all-targets -- -D warnings; }
-# Token-level static analysis: the v1 pattern rules plus hot-path
-# allocation tracking (`// lint: hot-path` roots + call-graph
-# reachability), determinism rules (hash containers on export paths),
-# float comparisons and narrowing casts. New findings fail against the
-# ratcheting fingerprint baseline in ci/lint_baseline.json (which may
-# only shrink); site/file suppressions need an audited reason. The JSON
-# findings artifact lands in target/lint_findings.json for upload.
-step_lint() { step lint cargo run -q -p datagrid-lint -- --deny --json target/lint_findings.json; }
+# The one static-analysis gate: the `[workspace.lints]` table in the root
+# Cargo.toml plus clippy.toml, over every package (bench included), every
+# target and every feature (`prof-timing`, `validate`). Unfulfilled
+# `#[expect]` suppressions fail it too, so stale ones cannot pile up.
+step_clippy() { step clippy cargo clippy --workspace --all-targets --all-features -- -D warnings; }
 # Max-min certificate enforcement in release mode: the `validate` feature
 # keeps the solver's per-settle certificate check on where
 # debug_assertions would normally turn it off, then re-runs the simnet
@@ -61,7 +58,6 @@ else
   step_test
   step_fmt
   step_clippy
-  step_lint
   step_bench_smoke
   step_profile_smoke
   step_fuzz_smoke

@@ -1,5 +1,11 @@
 //! Reproducibility guarantees: everything is a pure function of the seed.
 
+#![allow(
+    clippy::float_cmp,
+    clippy::unwrap_used,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid::prelude::*;
 
 const MB: u64 = 1 << 20;

@@ -3,6 +3,12 @@
 //! recovery ladder — stall watchdog, backoff retries with MODE E restart
 //! markers, suspect marking and next-best-replica failover.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::wildcard_enum_match_arm,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid::gridftp::transfer::TransferRequest;
 use datagrid::prelude::*;
 

@@ -2,6 +2,8 @@
 //! reproduce the paper's single-client behaviour exactly, and failover
 //! under load must stay scoped to the clients the fault actually hits.
 
+#![allow(clippy::float_cmp, reason = "test helpers; outside library scope")]
+
 use datagrid::prelude::*;
 use datagrid::testbed::sites::paper_testbed_with;
 

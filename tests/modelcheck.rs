@@ -5,6 +5,14 @@
 //! the observability layer's metrics, events and audit entries exactly
 //! consistent with the outcomes.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid::core::grid::modelcheck::{explore, FetchModel, ModelPhase};
 use datagrid::prelude::*;
 

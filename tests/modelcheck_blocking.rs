@@ -5,6 +5,13 @@
 //! consistent with the result — and with none of the `replay.*` records a
 //! workload replay adds.
 
+#![allow(
+    clippy::cast_possible_truncation,
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid::core::grid::modelcheck::{explore, FetchModel, ModelPhase};
 use datagrid::prelude::*;
 

@@ -2,6 +2,8 @@
 //! selection audit of the paper's Table 1 scenario, metric exports and the
 //! event-bus bridge.
 
+#![allow(clippy::unwrap_used, reason = "test helpers; outside library scope")]
+
 use datagrid::obs::{EventBus, JsonlSink};
 use datagrid::prelude::*;
 

@@ -5,6 +5,13 @@
 //! worker thread under a wall-clock bound, so a hang fails the test
 //! instead of stalling the suite.
 
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::wildcard_enum_match_arm,
+    reason = "test helpers; outside library scope"
+)]
+
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;

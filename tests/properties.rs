@@ -1,5 +1,10 @@
 //! Property-based tests over the public API (proptest).
 
+#![allow(
+    clippy::cast_possible_truncation,
+    reason = "test helpers; outside library scope"
+)]
+
 use datagrid::catalog::prelude::*;
 use datagrid::core::cost::{CostModel, Weights};
 use datagrid::core::factors::SystemFactors;

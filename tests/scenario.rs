@@ -1,6 +1,8 @@
 //! End-to-end integration tests of the paper's replica selection scenario
 //! (Fig. 1) on the simulated three-cluster testbed.
 
+#![allow(clippy::unwrap_used, reason = "test helpers; outside library scope")]
+
 use datagrid::prelude::*;
 
 const MB: u64 = 1 << 20;
