@@ -208,7 +208,7 @@ fn main() {
             format!("{:.1}", c.p50_s),
             format!("{:.1}", c.p95_s),
             format!("{:.1}", c.p99_s),
-            format!("{}", c.incremental_solves + c.full_solves),
+            format!("{}", c.engine.solves()),
         ]);
     }
     print!("{}", table.render());

@@ -45,7 +45,9 @@ use datagrid_simnet::prelude::{Bandwidth, FlowSpec, LinkSpec, NetSim, Topology};
 use datagrid_simnet::time::SimDuration;
 use datagrid_testbed::experiment::TextTable;
 use datagrid_testbed::gridscale::GridScaleConfig;
-use datagrid_testbed::profile::{run_profile, ProfileConfig, ProfileReport, ProfileRun};
+use datagrid_testbed::profile::{
+    run_profile, ProfileConfig, ProfileReport, ProfileRun, PROFILE_ENGINE_KEYS,
+};
 
 /// Counts heap allocations so the steady-state dispatch probe can report
 /// a real measurement into `BENCH_profile.json` instead of an assertion
@@ -180,14 +182,11 @@ fn check(path: &str) -> Result<(), String> {
     }
     // Hot-path counters that may legitimately be zero (a tiny cell can
     // batch nothing); present and non-negative is the shape contract.
-    for key in [
-        "event_cohorts",
-        "batched_solves",
-        "solves_avoided",
+    for key in PROFILE_ENGINE_KEYS.into_iter().chain([
         "scratch_hits",
         "scratch_misses",
         "steady_dispatch_allocs",
-    ] {
+    ]) {
         let v = extract_number(&json, key)
             .ok_or_else(|| format!("{path}: missing numeric field \"{key}\""))?;
         if v < 0.0 {
@@ -352,7 +351,7 @@ fn main() {
             format!("{:.3}", c.settles_per_sec),
             format!("{:.2}", c.solves_per_decision),
             format!("{:.2}", c.events_per_decision),
-            format!("{}", c.solves_avoided),
+            format!("{}", c.engine.solves_avoided),
             format!("{}/{}", c.scratch_hits, c.scratch_misses),
             format!("{}", c.windows),
         ]);

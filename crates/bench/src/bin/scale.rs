@@ -207,7 +207,7 @@ fn drain(sim: &mut NetSim, start: Instant) -> ModeResult {
     ModeResult {
         wall_s,
         events_processed: stats.events_processed,
-        settles: stats.incremental_solves + stats.full_solves,
+        settles: stats.solves(),
         flows_touched: stats.solver_flows_touched,
     }
 }

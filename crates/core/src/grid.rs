@@ -18,7 +18,7 @@
 
 #![expect(
     clippy::panic,
-    reason = "orphan timer/flow panics guard routes no caller can produce (a failed driver run tears down its sessions); the builder and suggested_parallelism panic on unroutable pairs as documented # Panics contracts"
+    reason = "orphan timer/flow panics guard routes no caller can produce (a failed driver run tears down its sessions); the builder panics on unroutable pairs as a documented # Panics contract"
 )]
 #![expect(
     clippy::expect_used,
@@ -543,7 +543,6 @@ struct ScoreEntry {
     used_residual: bool,
     /// Ranked candidate columns, best first (post [`rank_by_score`]).
     host: Vec<HostId>,
-    name: Vec<String>,
     location: Vec<PhysicalFileName>,
     bw: Vec<f64>,
     cpu: Vec<f64>,
@@ -569,7 +568,6 @@ impl ScoreEntry {
         self.net_version = net_version;
         self.used_residual = used_residual;
         self.host.clear();
-        self.name.clear();
         self.location.clear();
         self.bw.clear();
         self.cpu.clear();
@@ -578,7 +576,6 @@ impl ScoreEntry {
         self.local.clear();
         for c in ranked {
             self.host.push(c.host);
-            self.name.push(c.host_name.clone());
             self.location.push(c.location.clone());
             self.bw.push(c.factors.bandwidth_fraction);
             self.cpu.push(c.factors.cpu_idle);
@@ -595,7 +592,7 @@ impl ScoreEntry {
         for i in 0..self.host.len() {
             out.push(CandidateScore {
                 host: self.host[i],
-                host_name: self.name[i].clone(),
+                host_name: self.location[i].host().to_string(),
                 location: self.location[i].clone(),
                 factors: SystemFactors {
                     bandwidth_fraction: self.bw[i],
@@ -857,7 +854,7 @@ impl DataGrid {
             .collect();
         let mut tl = TimelineRecorder::new(window, links);
         let s = self.sim.stats();
-        tl.rebase_engine_totals(s.incremental_solves + s.full_solves, s.solver_flows_touched);
+        tl.rebase_engine_totals(s.solves(), s.solver_flows_touched);
         self.timeline = Some(tl);
     }
 
@@ -881,11 +878,7 @@ impl DataGrid {
         tl.sample_network(now, &utils, self.sim.active_flow_count());
         self.timeline_scratch = utils;
         let s = self.sim.stats();
-        tl.record_engine_totals(
-            now,
-            s.incremental_solves + s.full_solves,
-            s.solver_flows_touched,
-        );
+        tl.record_engine_totals(now, s.solves(), s.solver_flows_touched);
     }
 
     /// A point-in-time metrics snapshot: everything in the live registry
@@ -897,30 +890,7 @@ impl DataGrid {
     /// identically seeded runs export byte-identical snapshots.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut m = self.obs.metrics_snapshot();
-        let s = self.sim.stats();
-        m.set_counter("simnet.events_processed", s.events_processed);
-        m.set_counter("simnet.timers_fired", s.timers_fired);
-        m.set_counter("simnet.flows_started", s.flows_started);
-        m.set_counter("simnet.flows_completed", s.flows_completed);
-        m.set_counter(
-            "simnet.background_flows_started",
-            s.background_flows_started,
-        );
-        m.set_counter("simnet.bytes_completed", s.bytes_completed);
-        m.set_counter("simnet.fault_transitions", s.fault_transitions);
-        m.set_counter("simnet.flows_dropped", s.flows_dropped);
-        m.set_counter("simnet.incremental_solves", s.incremental_solves);
-        m.set_counter("simnet.full_solves", s.full_solves);
-        m.set_counter("simnet.solver_flows_touched", s.solver_flows_touched);
-        m.set_counter("simnet.auto_shrinks", s.auto_shrinks);
-        m.set_counter("simnet.event_cohorts", s.event_cohorts);
-        m.set_counter("simnet.batched_solves", s.batched_solves);
-        m.set_counter("simnet.solves_avoided", s.solves_avoided);
-        m.set_counter("simnet.transitions_certified", s.transitions_certified);
-        m.set_counter(
-            "simnet.transition_flows_checked",
-            s.transition_flows_checked,
-        );
+        m.set_engine_counters(&self.sim.stats());
         let (hits, misses) = self.score_scratch_stats();
         m.set_counter("selection.scratch_hits", hits);
         m.set_counter("selection.scratch_misses", misses);
@@ -1390,29 +1360,23 @@ impl DataGrid {
     /// range the paper sweeps in Fig. 4). Clean short paths get 1; the
     /// lossy Li-Zen path lands near the Fig. 4 sweet spot automatically.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the hosts are unroutable.
+    /// [`GridError::Unroutable`] if no route joins the hosts.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "float-to-int casts saturate, and the stream count is clamped to 1..=16 right after"
     )]
-    pub fn suggested_parallelism(&self, src: HostId, dst: HostId) -> u32 {
-        let s = self.node_of(src);
-        let d = self.node_of(dst);
-        let path = self
-            .sim
-            .routing()
-            .path(s, d)
-            .unwrap_or_else(|| panic!("no route {s} -> {d}"));
+    pub fn suggested_parallelism(&self, src: HostId, dst: HostId) -> Result<u32, GridError> {
+        let path = self.route(self.node_of(src), self.node_of(dst))?;
         let Some(capacity) = self.sim.topology().path_capacity(path) else {
-            return 1; // node-local
+            return Ok(1); // node-local
         };
         let per_stream = self.tcp_on(path).steady_rate(path.rtt()).as_bps();
         if per_stream <= 0.0 {
-            return 16;
+            return Ok(16);
         }
-        ((capacity.as_bps() / per_stream).ceil() as u32).clamp(1, 16)
+        Ok(((capacity.as_bps() / per_stream).ceil() as u32).clamp(1, 16))
     }
 
     /// The current `BW_P` estimate from `src` to `dst` host, if a sensor
@@ -2409,6 +2373,21 @@ mod unroutable_tests {
             from: from.into(),
             to: to.into(),
         }
+    }
+
+    #[test]
+    fn parallelism_across_islands_gets_an_error() {
+        let grid = islands();
+        let (a, b, c) = (
+            grid.host_id("a").unwrap(),
+            grid.host_id("b").unwrap(),
+            grid.host_id("c").unwrap(),
+        );
+        assert_eq!(
+            grid.suggested_parallelism(a, c).unwrap_err(),
+            unroutable("a", "c")
+        );
+        assert!(grid.suggested_parallelism(a, b).is_ok());
     }
 
     #[test]

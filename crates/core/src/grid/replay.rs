@@ -553,24 +553,11 @@ impl DataGrid {
     }
 }
 
-/// Attributes the solver passes between two engine snapshots to the phase
-/// at `path`: calls are solves, items are the flows they touched.
-fn record_solves(
-    prof: &PhaseProfiler,
-    path: &[&'static str],
-    before: &EngineStats,
-    after: &EngineStats,
-) {
-    let solves = (after.incremental_solves + after.full_solves)
-        .saturating_sub(before.incremental_solves + before.full_solves);
-    if solves > 0 {
-        prof.record_external(
-            path,
-            solves,
-            after
-                .solver_flows_touched
-                .saturating_sub(before.solver_flows_touched),
-        );
+/// Attributes the solver passes of an engine-counter delta to the phase at
+/// `path`: calls are solves, items are the flows they touched.
+fn record_solves(prof: &PhaseProfiler, path: &[&'static str], delta: &EngineStats) {
+    if delta.solves() > 0 {
+        prof.record_external(path, delta.solves(), delta.solver_flows_touched);
     }
 }
 
@@ -589,16 +576,15 @@ impl Driver<'_> {
             };
             // Attribute the solver work this settle step triggered to a
             // nested `settle/solve` phase, from the engine's own counters.
-            let after = self.grid.sim.stats();
-            record_solves(&self.prof, &["settle", "solve"], &before, &after);
+            let delta = self.grid.sim.stats().since(&before);
+            record_solves(&self.prof, &["settle", "solve"], &delta);
             // Cohort batching: count batched solve passes and the per-event
             // solves they replaced, so the profile shows the batching win.
-            let avoided = after.solves_avoided.saturating_sub(before.solves_avoided);
-            if avoided > 0 {
+            if delta.solves_avoided > 0 {
                 self.prof.record_external(
                     &["settle", "batch"],
-                    after.batched_solves.saturating_sub(before.batched_solves),
-                    avoided,
+                    delta.batched_solves,
+                    delta.solves_avoided,
                 );
             }
             // 1. Control timers (arrival, decision latency, backoff,
@@ -665,8 +651,8 @@ impl Driver<'_> {
                     }
                     self.grid.sim.set_flow_caps(&self.cap_buf);
                 }
-                let after = self.grid.sim.stats();
-                record_solves(&self.prof, &["refresh", "solve"], &before, &after);
+                let delta = self.grid.sim.stats().since(&before);
+                record_solves(&self.prof, &["refresh", "solve"], &delta);
             }
         }
         Ok(())

@@ -316,9 +316,9 @@ fn warmed_score_cache_hit_allocates_only_candidate_strings() {
         "second query must hit"
     );
     assert_eq!(out.len(), 2);
-    // `ScoreEntry::materialize_into` clones `host_name` and `location`
-    // per candidate, and a location owns two strings (host and path); the
-    // candidate list itself reuses `out`'s capacity.
+    // `ScoreEntry::materialize_into` copies each candidate's host name out
+    // of its `location` and clones the location, which owns two strings
+    // (host and path); the candidate list itself reuses `out`'s capacity.
     assert!(
         hit_allocs <= 3 * out.len() as u64,
         "cache hit made {hit_allocs} allocations for {} candidates",

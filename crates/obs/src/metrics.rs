@@ -2,6 +2,7 @@
 //! text / JSON exporters.
 
 use crate::event::{json_f64, json_string};
+use datagrid_simnet::engine::EngineStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -169,6 +170,15 @@ impl MetricsRegistry {
     /// snapshot.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
+    }
+
+    /// Overwrite every network-engine counter as `simnet.<name>` — the
+    /// one export of [`EngineStats`], so a counter added to its table
+    /// reaches every dump.
+    pub fn set_engine_counters(&mut self, stats: &EngineStats) {
+        for (name, value) in stats.fields() {
+            self.counters.insert(format!("simnet.{name}"), value);
+        }
     }
 
     /// Set a gauge to an instantaneous value.

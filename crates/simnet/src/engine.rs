@@ -381,59 +381,111 @@ struct ProbeScratch {
     solver: MaxMinSolver,
 }
 
-/// Lifetime counters of one [`NetSim`] — how much work the engine has
-/// done. Cheap to keep (a handful of integer bumps per event) and exported
-/// by the observability layer as `simnet.*` metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Internal events processed: timers, flow completions, background
-    /// arrivals and fault transitions. Every one is live work, because the
-    /// queue keeps a single completion entry per flow and moves or cancels
-    /// it in place when the flow's rate changes or the flow goes away.
-    pub events_processed: u64,
-    /// Timers delivered to the driver.
-    pub timers_fired: u64,
-    /// User/probe flows started.
-    pub flows_started: u64,
-    /// User/probe flows completed.
-    pub flows_completed: u64,
-    /// Background flows started by traffic profiles.
-    pub background_flows_started: u64,
-    /// Payload bytes of completed user/probe flows.
-    pub bytes_completed: u64,
-    /// Fault start/clear transitions applied from installed fault plans.
-    pub fault_transitions: u64,
-    /// Flows (any class) reset by [`crate::fault::FaultKind::ConnectionDrop`].
-    pub flows_dropped: u64,
-    /// Automatic low-water scratch compactions (see
-    /// [`NetSim::set_auto_shrink`]).
-    pub auto_shrinks: u64,
-    /// Component-scoped (incremental) rate solves.
-    pub incremental_solves: u64,
-    /// Whole-grid (from-scratch) rate solves.
-    pub full_solves: u64,
-    /// Total flows handed to the solver across all solves — the real work
-    /// measure behind the incremental-vs-full speedup.
-    pub solver_flows_touched: u64,
-    /// Same-instant event cohorts handled as one batch (two or more
-    /// internal events sharing a timestamp; see
-    /// [`NetSim::set_event_batching`]).
-    pub event_cohorts: u64,
-    /// Cohort-end solves that replaced two or more deferred per-event
-    /// solves with a single component solve.
-    pub batched_solves: u64,
-    /// Per-event solves skipped because a cohort deferred them into one
-    /// batched solve (`deferred - 1` summed over cohorts), or because a
-    /// [`NetSim::set_flow_caps`] batch solved per component rather than
-    /// per changed cap.
-    pub solves_avoided: u64,
-    /// Solver transitions audited and certified against the pre-solve bit
-    /// snapshot (only counted while validation is on; see
-    /// [`crate::verify`], "Transition certificates").
-    pub transitions_certified: u64,
-    /// Live flows compared across certified transitions (frozen +
-    /// re-integrated) — the delta audit's work measure.
-    pub transition_flows_checked: u64,
+/// Declares a struct of `pub u64` counters and derives, from its one
+/// field list, [`EngineStats::NAMES`], [`EngineStats::fields`] and
+/// [`EngineStats::since`]. Adding a counter is one line in the table
+/// below; every export, delta and report picks it up from there.
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$field_meta:meta])* pub $name:ident: u64,)+
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $($(#[$field_meta])* pub $name: u64,)+
+        }
+
+        impl $ty {
+            /// Every counter's name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),+];
+
+            /// `(name, value)` for every counter, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name)),+].into_iter()
+            }
+
+            /// The work done since the `before` snapshot: a field-wise
+            /// saturating difference.
+            #[must_use]
+            pub fn since(&self, before: &Self) -> Self {
+                Self {
+                    $($name: self.$name.saturating_sub(before.$name),)+
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// Lifetime counters of one [`NetSim`] — how much work the engine has
+    /// done. Cheap to keep (a handful of integer bumps per event) and exported
+    /// by the observability layer as `simnet.*` metrics. This table is the
+    /// only place a counter is named (see DESIGN.md, "Engine counters").
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EngineStats {
+        /// Internal events processed: timers, flow completions, background
+        /// arrivals and fault transitions. Every one is live work, because the
+        /// queue keeps a single completion entry per flow and moves or cancels
+        /// it in place when the flow's rate changes or the flow goes away.
+        pub events_processed: u64,
+        /// Timers delivered to the driver.
+        pub timers_fired: u64,
+        /// User/probe flows started.
+        pub flows_started: u64,
+        /// User/probe flows completed.
+        pub flows_completed: u64,
+        /// Background flows started by traffic profiles.
+        pub background_flows_started: u64,
+        /// Payload bytes of completed user/probe flows.
+        pub bytes_completed: u64,
+        /// Fault start/clear transitions applied from installed fault plans.
+        pub fault_transitions: u64,
+        /// Flows (any class) reset by [`crate::fault::FaultKind::ConnectionDrop`].
+        pub flows_dropped: u64,
+        /// Automatic low-water scratch compactions (see
+        /// [`NetSim::set_auto_shrink`]).
+        pub auto_shrinks: u64,
+        /// Component-scoped (incremental) rate solves.
+        pub incremental_solves: u64,
+        /// Whole-grid (from-scratch) rate solves.
+        pub full_solves: u64,
+        /// Total flows handed to the solver across all solves — the real work
+        /// measure behind the incremental-vs-full speedup.
+        pub solver_flows_touched: u64,
+        /// Same-instant event cohorts handled as one batch (two or more
+        /// internal events sharing a timestamp; see
+        /// [`NetSim::set_event_batching`]).
+        pub event_cohorts: u64,
+        /// Cohort-end solves that replaced two or more deferred per-event
+        /// solves with a single component solve.
+        pub batched_solves: u64,
+        /// Per-event solves skipped because a cohort deferred them into one
+        /// batched solve (`deferred - 1` summed over cohorts), or because a
+        /// [`NetSim::set_flow_caps`] batch solved per component rather than
+        /// per changed cap.
+        pub solves_avoided: u64,
+        /// Solver transitions audited and certified against the pre-solve bit
+        /// snapshot (only counted while validation is on; see
+        /// [`crate::verify`], "Transition certificates").
+        pub transitions_certified: u64,
+        /// Live flows compared across certified transitions (frozen +
+        /// re-integrated) — the delta audit's work measure.
+        pub transition_flows_checked: u64,
+    }
+}
+
+impl EngineStats {
+    /// Rate solves of either kind: incremental plus full.
+    pub fn solves(&self) -> u64 {
+        self.incremental_solves + self.full_solves
+    }
+
+    /// The counter called `name` (one of [`EngineStats::NAMES`]).
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.fields().find(|&(n, _)| n == name).map(|(_, v)| v)
+    }
 }
 
 /// The discrete-event network simulator.
@@ -1986,6 +2038,29 @@ mod tests {
         t.add_duplex_link(a, b, LinkSpec::new(mbps(100.0), ms(1)));
         t.add_duplex_link(b, c, LinkSpec::new(mbps(100.0), ms(1)));
         (t, a, b, c)
+    }
+
+    #[test]
+    fn counter_table_names_fields_and_deltas_agree() {
+        let (t, a, _, c) = line();
+        let mut sim = NetSim::new(t, 1);
+        let before = sim.stats();
+        sim.start_flow(FlowSpec::new(a, c, 1_000_000));
+        while sim.next_event().is_some() {}
+        let after = sim.stats();
+        let names: Vec<&str> = after.fields().map(|(n, _)| n).collect();
+        assert_eq!(names, EngineStats::NAMES);
+        let delta = after.since(&before);
+        for (name, value) in delta.fields() {
+            let expect = after.get(name).unwrap() - before.get(name).unwrap();
+            assert_eq!(value, expect, "{name}");
+        }
+        assert_eq!(delta.flows_completed, 1);
+        assert_eq!(delta.solves(), delta.incremental_solves + delta.full_solves);
+        assert!(delta.solves() > 0);
+        // Saturating: a reversed pair never underflows.
+        assert_eq!(before.since(&after), EngineStats::default());
+        assert_eq!(after.get("no_such_counter"), None);
     }
 
     #[test]

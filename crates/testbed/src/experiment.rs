@@ -15,6 +15,8 @@ use std::path::{Path, PathBuf};
 
 use datagrid_core::grid::{DataGrid, FetchOptions};
 use datagrid_core::policy::SelectionPolicy;
+use datagrid_obs::MetricsRegistry;
+use datagrid_simnet::engine::NetSim;
 use datagrid_simnet::time::SimTime;
 
 use crate::workload::RequestTrace;
@@ -283,6 +285,15 @@ pub fn write_obs_dump(grid: &DataGrid, dir: &Path, label: &str) -> std::io::Resu
     Ok(written)
 }
 
+/// The metrics dump of a bare engine — every [`NetSim`] counter as
+/// `simnet.<name>` — the engine-only counterpart of [`obs_dump`] for
+/// drivers with no grid (so no event ring or selection audit).
+pub fn engine_metrics(sim: &NetSim) -> MetricsRegistry {
+    let mut m = MetricsRegistry::new();
+    m.set_engine_counters(&sim.stats());
+    m
+}
+
 /// Formats seconds compactly for tables.
 pub fn fmt_secs(secs: f64) -> String {
     format!("{secs:.1}")
@@ -302,7 +313,24 @@ mod tests {
     use super::*;
     use crate::sites::paper_testbed;
     use crate::workload::Request;
+    use datagrid_simnet::engine::EngineStats;
     use datagrid_simnet::time::SimDuration;
+
+    /// Every engine counter reaches both metrics exports — the grid
+    /// snapshot and the bare-engine dump — so neither can drift from the
+    /// counter table.
+    #[test]
+    fn every_engine_counter_is_exported() {
+        let grid = paper_testbed(11).build();
+        let engine = engine_metrics(grid.network());
+        for (label, m) in [("grid", grid.metrics_snapshot()), ("engine", engine)] {
+            let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
+            for name in EngineStats::NAMES {
+                let key = format!("simnet.{name}");
+                assert!(names.contains(&key.as_str()), "{label} dump lacks {key}");
+            }
+        }
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -684,6 +684,20 @@ pub fn render_divergence_report(
 mod tests {
     use super::*;
 
+    /// The exemption lists name engine counters by their exported key; a
+    /// renamed counter must not leave a stale entry the oracle no longer
+    /// exempts.
+    #[test]
+    fn exempt_counters_are_engine_counters() {
+        for key in BATCHING_COUNTERS.iter().chain(VALIDATION_COUNTERS) {
+            let name = key.strip_prefix("simnet.");
+            assert!(
+                name.is_some_and(|n| datagrid_simnet::engine::EngineStats::NAMES.contains(&n)),
+                "{key} is not simnet.<an EngineStats counter>"
+            );
+        }
+    }
+
     #[test]
     fn codes_round_trip() {
         for index in 0..32 {

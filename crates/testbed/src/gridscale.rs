@@ -23,6 +23,7 @@
 use std::fmt::Write as _;
 
 use datagrid_core::prelude::{DataGrid, FetchOptions, RecoveryOptions, SelectionMode};
+use datagrid_simnet::engine::EngineStats;
 use datagrid_simnet::stats::percentile;
 use datagrid_simnet::time::SimDuration;
 
@@ -85,6 +86,17 @@ impl Default for GridScaleConfig {
     }
 }
 
+/// The engine counters `BENCH_grid.json` reports per cell, in their frozen
+/// key order.
+pub const GRID_ENGINE_KEYS: [&str; 6] = [
+    "incremental_solves",
+    "full_solves",
+    "solver_flows_touched",
+    "event_cohorts",
+    "batched_solves",
+    "solves_avoided",
+];
+
 /// The deterministic numbers of one sweep cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridScaleCell {
@@ -110,18 +122,8 @@ pub struct GridScaleCell {
     pub p95_s: f64,
     /// 99th-percentile fetch latency, seconds.
     pub p99_s: f64,
-    /// Component-scoped rate solves performed by the engine.
-    pub incremental_solves: u64,
-    /// Whole-grid rate solves performed by the engine.
-    pub full_solves: u64,
-    /// Total flows handed to the solver across all solves.
-    pub solver_flows_touched: u64,
-    /// Same-instant event cohorts the engine processed.
-    pub event_cohorts: u64,
-    /// Cohorts whose deferred rate changes settled in one solve.
-    pub batched_solves: u64,
-    /// Solver passes the cohort batching eliminated.
-    pub solves_avoided: u64,
+    /// The engine's lifetime counters after the replay.
+    pub engine: EngineStats,
     /// Scratch element capacity left by the burst, before compaction.
     pub scratch_high_water: usize,
     /// Scratch element capacity after [`DataGrid::shrink_network_scratch`].
@@ -177,20 +179,10 @@ impl GridScaleReport {
             let _ = writeln!(out, "      \"latency_p50_s\": {:.6},", c.p50_s);
             let _ = writeln!(out, "      \"latency_p95_s\": {:.6},", c.p95_s);
             let _ = writeln!(out, "      \"latency_p99_s\": {:.6},", c.p99_s);
-            let _ = writeln!(
-                out,
-                "      \"incremental_solves\": {},",
-                c.incremental_solves
-            );
-            let _ = writeln!(out, "      \"full_solves\": {},", c.full_solves);
-            let _ = writeln!(
-                out,
-                "      \"solver_flows_touched\": {},",
-                c.solver_flows_touched
-            );
-            let _ = writeln!(out, "      \"event_cohorts\": {},", c.event_cohorts);
-            let _ = writeln!(out, "      \"batched_solves\": {},", c.batched_solves);
-            let _ = writeln!(out, "      \"solves_avoided\": {},", c.solves_avoided);
+            for key in GRID_ENGINE_KEYS {
+                let value = c.engine.get(key).unwrap_or_default();
+                let _ = writeln!(out, "      \"{key}\": {value},");
+            }
             let _ = writeln!(
                 out,
                 "      \"scratch_high_water\": {},",
@@ -285,7 +277,7 @@ pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> 
         .iter()
         .map(|o| o.latency().as_secs_f64())
         .collect();
-    let stats = grid.network().stats();
+    let engine = grid.network().stats();
     // The satellite fix in action: compact the engine scratch between
     // sweeps and report how much the burst had pinned.
     let scratch_high_water = grid.network().scratch_footprint();
@@ -309,12 +301,7 @@ pub fn run_grid_scale_cell(seed: u64, clients: usize, cfg: &GridScaleConfig) -> 
         p50_s: percentile(&latencies, 0.50),
         p95_s: percentile(&latencies, 0.95),
         p99_s: percentile(&latencies, 0.99),
-        incremental_solves: stats.incremental_solves,
-        full_solves: stats.full_solves,
-        solver_flows_touched: stats.solver_flows_touched,
-        event_cohorts: stats.event_cohorts,
-        batched_solves: stats.batched_solves,
-        solves_avoided: stats.solves_avoided,
+        engine,
         scratch_high_water,
         scratch_after_shrink,
     };
@@ -341,6 +328,13 @@ pub fn run_grid_scale(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_keys_are_engine_counters() {
+        for key in GRID_ENGINE_KEYS {
+            assert!(EngineStats::NAMES.contains(&key), "{key}");
+        }
+    }
 
     fn small_cfg() -> GridScaleConfig {
         GridScaleConfig {

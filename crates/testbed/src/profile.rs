@@ -23,6 +23,7 @@ use std::fmt::Write as _;
 
 use datagrid_core::prelude::{FetchOptions, RecoveryOptions};
 use datagrid_obs::prof::TIMING_ENABLED;
+use datagrid_simnet::engine::EngineStats;
 use datagrid_simnet::time::SimDuration;
 
 use crate::experiment::{obs_dump, ObsDump};
@@ -69,6 +70,11 @@ pub struct ProfilePhase {
     pub self_ns: u64,
 }
 
+/// The plain engine counters `BENCH_profile.json` reports per cell, in
+/// their frozen key order (after the `solves` and `events_processed`
+/// headlines, which carry per-decision ratios).
+pub const PROFILE_ENGINE_KEYS: [&str; 3] = ["event_cohorts", "batched_solves", "solves_avoided"];
+
 /// The deterministic numbers of one profile cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileCell {
@@ -90,24 +96,16 @@ pub struct ProfileCell {
     pub settles: u64,
     /// Settles per simulated second of makespan.
     pub settles_per_sec: f64,
-    /// Solver passes the engine ran (incremental + full).
-    pub solves: u64,
+    /// The engine's work during the replay (counters diffed across it, so
+    /// warm-up churn is excluded).
+    pub engine: EngineStats,
     /// Solver passes per selection decision — the hot-path headline: how
     /// much solver work one client arrival costs. Cohort batching and the
     /// score scratch both push this down.
     pub solves_per_decision: f64,
-    /// Internal events the engine popped and handled: timers, flow
-    /// completions, background arrivals and fault transitions.
-    pub events_processed: u64,
     /// Engine events per selection decision — the queue-side headline: a
     /// superseded completion entry popped as an event would inflate it.
     pub events_per_decision: f64,
-    /// Same-instant event cohorts the engine processed.
-    pub event_cohorts: u64,
-    /// Cohorts whose deferred rate changes settled in one solve.
-    pub batched_solves: u64,
-    /// Solver passes the cohort batching eliminated.
-    pub solves_avoided: u64,
     /// Candidate rankings served from the reusable score scratch.
     pub scratch_hits: u64,
     /// Candidate rankings that had to be recomputed.
@@ -190,21 +188,26 @@ impl ProfileReport {
             );
             let _ = writeln!(out, "      \"settles\": {},", c.settles);
             let _ = writeln!(out, "      \"settles_per_sec\": {:.6},", c.settles_per_sec);
-            let _ = writeln!(out, "      \"solves\": {},", c.solves);
+            let _ = writeln!(out, "      \"solves\": {},", c.engine.solves());
             let _ = writeln!(
                 out,
                 "      \"solves_per_decision\": {:.6},",
                 c.solves_per_decision
             );
-            let _ = writeln!(out, "      \"events_processed\": {},", c.events_processed);
+            let _ = writeln!(
+                out,
+                "      \"events_processed\": {},",
+                c.engine.events_processed
+            );
             let _ = writeln!(
                 out,
                 "      \"events_per_decision\": {:.6},",
                 c.events_per_decision
             );
-            let _ = writeln!(out, "      \"event_cohorts\": {},", c.event_cohorts);
-            let _ = writeln!(out, "      \"batched_solves\": {},", c.batched_solves);
-            let _ = writeln!(out, "      \"solves_avoided\": {},", c.solves_avoided);
+            for key in PROFILE_ENGINE_KEYS {
+                let value = c.engine.get(key).unwrap_or_default();
+                let _ = writeln!(out, "      \"{key}\": {value},");
+            }
             let _ = writeln!(out, "      \"scratch_hits\": {},", c.scratch_hits);
             let _ = writeln!(out, "      \"scratch_misses\": {},", c.scratch_misses);
             let _ = writeln!(out, "      \"windows\": {},", c.windows);
@@ -259,14 +262,7 @@ pub fn run_profile_cell(seed: u64, clients: usize, cfg: &ProfileConfig) -> Profi
 
     let makespan_s = report.makespan().as_secs_f64();
     let decisions = grid.metrics_snapshot().counter("selection.decisions");
-    let mut stats = grid.network().stats();
-    stats.events_processed -= pre.events_processed;
-    stats.incremental_solves -= pre.incremental_solves;
-    stats.full_solves -= pre.full_solves;
-    stats.event_cohorts -= pre.event_cohorts;
-    stats.batched_solves -= pre.batched_solves;
-    stats.solves_avoided -= pre.solves_avoided;
-    let solves = stats.incremental_solves + stats.full_solves;
+    let engine = grid.network().stats().since(&pre);
     let (scratch_hits, scratch_misses) = grid.score_scratch_stats();
     let snapshot = grid.profiler().snapshot();
     let settles = snapshot
@@ -311,13 +307,9 @@ pub fn run_profile_cell(seed: u64, clients: usize, cfg: &ProfileConfig) -> Profi
         decisions_per_sec: per_sec(decisions),
         settles,
         settles_per_sec: per_sec(settles),
-        solves,
-        solves_per_decision: per_decision(solves),
-        events_processed: stats.events_processed,
-        events_per_decision: per_decision(stats.events_processed),
-        event_cohorts: stats.event_cohorts,
-        batched_solves: stats.batched_solves,
-        solves_avoided: stats.solves_avoided,
+        engine,
+        solves_per_decision: per_decision(engine.solves()),
+        events_per_decision: per_decision(engine.events_processed),
         scratch_hits,
         scratch_misses,
         windows: timeline.window_count(),
@@ -344,6 +336,13 @@ pub fn run_profile(seed: u64, client_counts: &[usize], cfg: &ProfileConfig) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_keys_are_engine_counters() {
+        for key in PROFILE_ENGINE_KEYS {
+            assert!(EngineStats::NAMES.contains(&key), "{key}");
+        }
+    }
 
     fn small_cfg() -> ProfileConfig {
         ProfileConfig {

@@ -43,6 +43,14 @@ step_bench_smoke() { step bench-smoke scripts/bench.sh target/BENCH_simnet.json;
 # BENCH_profile.json that is byte-identical across same-seed runs, and
 # the prof-timing build must stay green (scripts/profile_smoke.sh).
 step_profile_smoke() { step profile-smoke scripts/profile_smoke.sh target/BENCH_profile.json; }
+# Grid-level scale smoke: the multi-client replay at CI-sized client
+# counts, its report re-read by `grid_scale --check`, then the workload
+# determinism property test (scripts/grid_smoke.sh).
+step_grid_smoke() { step grid-smoke scripts/grid_smoke.sh target/BENCH_grid.json; }
+# Observability smoke: table1 and table1_fault with dumps on; every
+# export must be non-empty and every JSONL record must parse
+# (scripts/smoke_obs.sh).
+step_obs_smoke() { step obs-smoke scripts/smoke_obs.sh target/smoke-obs; }
 # Differential fuzz smoke: a fixed-seed corpus of random scenarios must
 # agree across paired engine configurations, and the harness must catch
 # its own sabotage (scripts/fuzz_smoke.sh).
@@ -59,6 +67,8 @@ else
   step_fmt
   step_clippy
   step_bench_smoke
+  step_grid_smoke
+  step_obs_smoke
   step_profile_smoke
   step_fuzz_smoke
 fi

@@ -248,10 +248,10 @@ fn suggested_parallelism_matches_path_characteristics() {
     let lz04 = grid.host_id("lz04").unwrap();
     let hit0 = grid.host_id("gridhit0").unwrap();
     // Loss-free gigabit LAN: one stream suffices.
-    assert_eq!(grid.suggested_parallelism(alpha4, alpha1), 1);
+    assert_eq!(grid.suggested_parallelism(alpha4, alpha1), Ok(1));
     // Lossy 30 Mbps path with ~4.7 Mbps per stream: ~7 streams.
-    let lz = grid.suggested_parallelism(lz04, alpha1);
+    let lz = grid.suggested_parallelism(lz04, alpha1).unwrap();
     assert!((5..=9).contains(&lz), "lz suggestion {lz}");
     // Gigabit WAN with ~36 Mbps per stream: clamped at 16.
-    assert_eq!(grid.suggested_parallelism(hit0, alpha1), 16);
+    assert_eq!(grid.suggested_parallelism(hit0, alpha1), Ok(16));
 }

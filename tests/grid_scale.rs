@@ -196,23 +196,21 @@ fn background_churn_batches_per_arrival_solves() {
     assert_eq!(&batched.obs.events_jsonl, &per_event.obs.events_jsonl);
 
     // ...while the solver bookkeeping shows the batching did real work.
-    assert_eq!(per_event.cell.solves_avoided, 0);
-    assert_eq!(per_event.cell.batched_solves, 0);
+    assert_eq!(per_event.cell.engine.solves_avoided, 0);
+    assert_eq!(per_event.cell.engine.batched_solves, 0);
     assert!(
-        batched.cell.solves_avoided > 0,
+        batched.cell.engine.solves_avoided > 0,
         "churn workload produced no same-instant cohorts to batch"
     );
-    let solves =
-        |c: &datagrid::testbed::gridscale::GridScaleCell| c.incremental_solves + c.full_solves;
+    let (batched_solves, per_event_solves) =
+        (batched.cell.engine.solves(), per_event.cell.engine.solves());
     assert!(
-        solves(&batched.cell) < solves(&per_event.cell),
-        "batching must strictly reduce solver passes: {} vs {}",
-        solves(&batched.cell),
-        solves(&per_event.cell)
+        batched_solves < per_event_solves,
+        "batching must strictly reduce solver passes: {batched_solves} vs {per_event_solves}"
     );
     assert_eq!(
-        solves(&per_event.cell) - solves(&batched.cell),
-        batched.cell.solves_avoided,
+        per_event_solves - batched_solves,
+        batched.cell.engine.solves_avoided,
         "every avoided solve must be accounted for"
     );
 }
